@@ -11,12 +11,7 @@
 // tail latency by shedding aggressively, a large one trades latency for
 // acceptance (DESIGN.md, "Serving model").
 //
-// The whole sweep runs twice, with cross-request solve fusion off and on
-// (BatchOptions::FuseSolves — concurrent requests' BP solves packed into
-// one shared CSR arena, DESIGN.md "Solver kernel layout"), so the fusion
-// win/cost shows up in the same table it has to pay for itself in.
-//
-// Writes bench_serve_throughput.json with one record per (fused, cap).
+// Writes bench_serve_throughput.json with one record per queue cap.
 //
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +32,6 @@ namespace {
 
 struct Sample {
   size_t QueueCap = 0;
-  bool Fused = false;
   unsigned Offered = 0;
   unsigned Completed = 0; ///< Reached ok/degraded.
   unsigned Shed = 0;
@@ -62,8 +56,7 @@ double quantile(std::vector<double> Xs, double Q) {
   return Xs[Rank];
 }
 
-Sample floodOnce(size_t QueueCap, unsigned Offered, unsigned Workers,
-                 bool Fused) {
+Sample floodOnce(size_t QueueCap, unsigned Offered, unsigned Workers) {
   const char *Examples[] = {"file", "field", "spreadsheet"};
   std::vector<BatchRequest> Requests(Offered);
   for (unsigned I = 0; I < Offered; ++I) {
@@ -78,12 +71,10 @@ Sample floodOnce(size_t QueueCap, unsigned Offered, unsigned Workers,
   Opts.Workers = Workers;
   Opts.QueueCap = QueueCap;
   Opts.ShedWhenFull = true; // Load-test admission: full queue sheds.
-  Opts.FuseSolves = Fused;
   BatchRunner Runner(Opts);
 
   Sample S;
   S.QueueCap = QueueCap;
-  S.Fused = Fused;
   S.Offered = Offered;
   Timer Clock;
   std::vector<BatchResult> Results = Runner.run(std::move(Requests));
@@ -113,25 +104,23 @@ int main() {
 
   std::puts("Serving throughput: non-blocking flood vs queue capacity");
   rule();
-  std::printf("%5s %9s %9s %10s %6s | %12s %9s %9s %9s\n", "fused",
-              "queue-cap", "offered", "completed", "shed", "req/s",
-              "shed-rate", "p50-ms", "p99-ms");
+  std::printf("%9s %9s %10s %6s | %12s %9s %9s %9s\n", "queue-cap",
+              "offered", "completed", "shed", "req/s", "shed-rate",
+              "p50-ms", "p99-ms");
   rule();
 
   std::vector<Sample> Samples;
-  for (bool Fused : {false, true}) {
-    for (size_t Cap : {8u, 64u, 512u}) {
-      // Warm-up at the smallest cap amortizes first-touch costs (example
-      // sources, solver tables) out of the measured sweep.
-      if (Samples.empty())
-        floodOnce(Cap, 60, Workers, Fused);
-      Sample S = floodOnce(Cap, Offered, Workers, Fused);
-      Samples.push_back(S);
-      std::printf("%5s %9zu %9u %10u %6u | %12.1f %9.3f %9.2f %9.2f\n",
-                  S.Fused ? "on" : "off", S.QueueCap, S.Offered,
-                  S.Completed, S.Shed, S.requestsPerSec(), S.shedRate(),
-                  S.LatencyP50 * 1e3, S.LatencyP99 * 1e3);
-    }
+  for (size_t Cap : {8u, 64u, 512u}) {
+    // Warm-up at the smallest cap amortizes first-touch costs (example
+    // sources, solver tables) out of the measured sweep.
+    if (Samples.empty())
+      floodOnce(Cap, 60, Workers);
+    Sample S = floodOnce(Cap, Offered, Workers);
+    Samples.push_back(S);
+    std::printf("%9zu %9u %10u %6u | %12.1f %9.3f %9.2f %9.2f\n",
+                S.QueueCap, S.Offered, S.Completed, S.Shed,
+                S.requestsPerSec(), S.shedRate(), S.LatencyP50 * 1e3,
+                S.LatencyP99 * 1e3);
   }
   rule();
 
@@ -142,8 +131,7 @@ int main() {
        << "  \"sweep\": [\n";
   for (size_t I = 0; I < Samples.size(); ++I) {
     const Sample &S = Samples[I];
-    Json << "    {\"fused\": " << (S.Fused ? "true" : "false")
-         << ", \"queue_cap\": " << S.QueueCap
+    Json << "    {\"queue_cap\": " << S.QueueCap
          << ", \"completed\": " << S.Completed << ", \"shed\": " << S.Shed
          << ", \"seconds\": " << S.Seconds
          << ", \"requests_per_sec\": " << S.requestsPerSec()

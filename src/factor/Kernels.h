@@ -74,10 +74,8 @@ enum class Backend : int {
   Neon = 2,
 };
 
-/// Read-only view of one factor-graph arena in CSR form. For a
-/// standalone solve this aliases FactorGraph::EdgeLayout directly; for a
-/// fused solve it points at the rebased concatenation of several
-/// layouts (factor/Fused.cpp).
+/// Read-only view of one factor graph in CSR form: aliases the graph's
+/// FactorGraph::EdgeLayout directly, plus a per-variable prior array.
 struct BpView {
   uint32_t NumVars = 0;
   uint32_t NumFactors = 0;
@@ -91,8 +89,8 @@ struct BpView {
   const double *Priors = nullptr;         ///< per-variable prior.
 };
 
-/// Mutable per-solve state. All arrays are allocated by the driver
-/// (factor/BpDriver.cpp); "position" arrays are indexed like VarEdges.
+/// Mutable per-solve state. All arrays are allocated by the BP engine
+/// (factor/Solvers.cpp); "position" arrays are indexed like VarEdges.
 struct BpState {
   double *VarToFactor = nullptr; ///< per edge.
   double *FactorToVar = nullptr; ///< per edge.
@@ -126,7 +124,7 @@ struct BpConsts {
 };
 
 /// Variable-major view for Gibbs sweeps (arrays from EdgeLayout's Vm*
-/// companions, rebased for fused arenas).
+/// companions).
 struct GibbsView {
   uint32_t NumVars = 0;
   const uint32_t *VarOffset = nullptr;   ///< NumVars+1; position ranges.

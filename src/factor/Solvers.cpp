@@ -2,7 +2,6 @@
 
 #include "factor/Solvers.h"
 
-#include "factor/BpDriver.h"
 #include "factor/Kernels.h"
 #include "support/FaultInject.h"
 #include "support/Format.h"
@@ -21,13 +20,228 @@ using namespace anek;
 // Loopy belief propagation
 //===----------------------------------------------------------------------===//
 //
-// The iteration loop and the kernel bodies live behind the KernelBackend
-// seam (factor/Kernels.h): this method builds a zero-copy BpView over the
-// graph's cached EdgeLayout, runs the shared multi-span driver
-// (factor/BpDriver.cpp) with a single span, and keeps PR 3's reporting
-// and telemetry surface unchanged. The same driver sweeps many spans for
-// the serving layer's fused solves (factor/Fused.cpp), which is what
-// guarantees fused results are byte-identical to this path.
+// The kernel bodies live behind the KernelBackend seam (factor/Kernels.h).
+// BpEngine builds a zero-copy BpView over the graph's cached EdgeLayout,
+// owns the per-solve message and scratch arrays, and runs the flooding
+// loop through the active backend.
+//
+// The loop checks its exit condition before each iteration Iter and stops
+// when Iter == MaxIterations, when the last residual is no longer above
+// Tolerance (a NaN residual included), or when the budget has expired;
+// Iterations reports Iter. Short of an expired budget, the exit depends
+// only on the graph, the Options and the message values, which every
+// backend computes byte-identically, so every backend runs the same
+// kernel calls in the same order.
+
+namespace {
+
+class BpEngine {
+public:
+  explicit BpEngine(const FactorGraph &G);
+  // View and State point into this object's own arrays.
+  BpEngine(const BpEngine &) = delete;
+  BpEngine &operator=(const BpEngine &) = delete;
+
+  /// Runs the flooding loop to its exit condition (see above). With
+  /// \p TraceIters set, samples the bp.residual counter once per
+  /// iteration after the first.
+  void run(const SumProductSolver::Options &Opts, bool TraceIters);
+
+  /// Beliefs from the final factor->var messages: the scalar-kernel
+  /// epilogue verbatim.
+  Marginals beliefs(Marginals *GraphLikelihood) const;
+
+  // Outcome of run().
+  double Delta = 1.0;
+  unsigned Iterations = 0;
+  bool DeadlineExpired = false;
+  uint64_t Updates = 0;
+  uint64_t Skipped = 0;
+
+private:
+  /// Recompute NewMsg/Change in the log domain for the variables with
+  /// degree >= kern::LogDomainMinDegree (linear-domain products of that
+  /// many clamped messages can underflow to 0 and erase the signal).
+  /// Runs in this baseline TU for every backend, so it cannot break
+  /// backend byte-identity.
+  void logDomainFixup(const kern::BpConsts &C);
+
+  std::vector<double> Priors;
+  kern::BpView View;
+  std::vector<double> VarToFactor, FactorToVar;
+  std::vector<double> ClampT, ClampF, SufT, SufF, NewMsg, Change;
+  std::vector<double> OutT, OutF, EChange;
+  std::vector<double> PendingIn, LastOut;
+  std::vector<uint32_t> ActiveFactors, ActiveEdges;
+  std::vector<uint32_t> HighDegVars; ///< empty on most graphs.
+  std::vector<double> LogSufT, LogSufF;
+  kern::BpState State;
+};
+
+BpEngine::BpEngine(const FactorGraph &G) {
+  const FactorGraph::EdgeLayout &L = G.edgeLayout();
+  const uint32_t NumVars = G.variableCount();
+  const uint32_t NumFactors = G.factorCount();
+  const uint32_t NumEdges = L.edgeCount();
+  Priors.resize(NumVars);
+  for (uint32_t V = 0; V != NumVars; ++V)
+    Priors[V] = G.variable(V).Prior;
+  View.NumVars = NumVars;
+  View.NumFactors = NumFactors;
+  View.NumEdges = NumEdges;
+  View.FactorOffset = L.FactorOffset.data();
+  View.VarOffset = L.VarOffset.data();
+  View.VarEdges = L.VarEdges.data();
+  View.VmFactor = L.VmFactor.data();
+  View.TableOffset = L.TableOffset.data();
+  View.TableFlat = L.TableFlat.data();
+  View.Priors = Priors.data();
+
+  const double Inf = std::numeric_limits<double>::infinity();
+  VarToFactor.assign(NumEdges, 0.5);
+  FactorToVar.assign(NumEdges, 0.5);
+  ClampT.resize(NumEdges);
+  ClampF.resize(NumEdges);
+  SufT.resize(NumEdges);
+  SufF.resize(NumEdges);
+  // NewMsg mirrors VarToFactor per position (pass C reads it as the
+  // previous outgoing message), so it must share the 0.5 seed.
+  NewMsg.assign(NumEdges, 0.5);
+  Change.resize(NumEdges);
+  OutT.resize(NumEdges);
+  OutF.resize(NumEdges);
+  EChange.resize(NumEdges);
+  // The +inf seeds force every factor to run on the first iteration.
+  PendingIn.assign(NumFactors, Inf);
+  LastOut.assign(NumFactors, Inf);
+  ActiveFactors.resize(NumFactors);
+  ActiveEdges.resize(NumEdges);
+  uint32_t MaxDeg = 0;
+  for (uint32_t Var = 0; Var != NumVars; ++Var) {
+    const uint32_t Deg = L.VarOffset[Var + 1] - L.VarOffset[Var];
+    MaxDeg = std::max(MaxDeg, Deg);
+    if (Deg >= kern::LogDomainMinDegree)
+      HighDegVars.push_back(Var);
+  }
+  if (!HighDegVars.empty()) {
+    LogSufT.resize(MaxDeg);
+    LogSufF.resize(MaxDeg);
+  }
+  State.VarToFactor = VarToFactor.data();
+  State.FactorToVar = FactorToVar.data();
+  State.ClampT = ClampT.data();
+  State.ClampF = ClampF.data();
+  State.SufT = SufT.data();
+  State.SufF = SufF.data();
+  State.NewMsg = NewMsg.data();
+  State.Change = Change.data();
+  State.OutT = OutT.data();
+  State.OutF = OutF.data();
+  State.EChange = EChange.data();
+  State.PendingIn = PendingIn.data();
+  State.LastOut = LastOut.data();
+  State.ActiveFactors = ActiveFactors.data();
+  State.ActiveEdges = ActiveEdges.data();
+}
+
+void BpEngine::logDomainFixup(const kern::BpConsts &C) {
+  for (const uint32_t Var : HighDegVars) {
+    const uint32_t B = View.VarOffset[Var];
+    const uint32_t E = View.VarOffset[Var + 1];
+    // Exclusive suffix/prefix *sums of logs* of the already-clamped
+    // incoming messages (clamped, so every log is finite).
+    double RunT = 0.0, RunF = 0.0;
+    for (uint32_t P = E; P-- != B;) {
+      LogSufT[P - B] = RunT;
+      LogSufF[P - B] = RunF;
+      RunT += std::log(ClampT[P]);
+      RunF += std::log(ClampF[P]);
+    }
+    double PreLogT = std::log(View.Priors[Var]);
+    double PreLogF = std::log(1.0 - View.Priors[Var]);
+    for (uint32_t P = B; P != E; ++P) {
+      const double LogT = PreLogT + LogSufT[P - B];
+      const double LogF = PreLogF + LogSufF[P - B];
+      // True/(True+False) = 1/(1+exp(logF-logT)); exp saturating to
+      // +inf or 0 degrades gracefully to 0 or 1.
+      const double Undamped = 1.0 / (1.0 + std::exp(LogF - LogT));
+      const double Old = VarToFactor[View.VarEdges[P]];
+      const double Damped = C.OneMinusDamping * Undamped + C.Damping * Old;
+      NewMsg[P] = Damped;
+      Change[P] = std::fabs(Damped - Old);
+      PreLogT += std::log(ClampT[P]);
+      PreLogF += std::log(ClampF[P]);
+    }
+  }
+}
+
+void BpEngine::run(const SumProductSolver::Options &Opts, bool TraceIters) {
+  const kern::SolverKernels &K = kern::solverKernels();
+  const kern::BpConsts C{Opts.Damping, 1.0 - Opts.Damping, Opts.Tolerance,
+                         0.5 * Opts.Tolerance};
+  // Steady state (no residual scheduling, no log-domain fixup pending):
+  // pass D is fused into the var-message kernel, which commits and
+  // returns the max change itself. Otherwise the split form runs so the
+  // fixup can overwrite NewMsg/Change in between.
+  const bool Commit = !Opts.ResidualScheduling && HighDegVars.empty();
+  unsigned Iter = 0;
+  for (; Iter != Opts.MaxIterations && Delta > Opts.Tolerance; ++Iter) {
+    if (Opts.Budget.expired(Iter)) {
+      DeadlineExpired = true;
+      break;
+    }
+    if (TraceIters && Iter != 0)
+      telemetry::counterSample("bp.residual", telemetry::TraceLevel::Solver,
+                               "solver", "residual", Delta);
+    const bool Refresh =
+        Opts.RefreshInterval != 0 &&
+        (Iter % Opts.RefreshInterval) == Opts.RefreshInterval - 1;
+    double D1 = K.BpVarMessages(View, State, C, 0, View.NumVars, Commit);
+    if (!Commit) {
+      logDomainFixup(C);
+      D1 = K.BpVarScatter(View, State, C, 0, View.NumVars,
+                          Opts.ResidualScheduling);
+    }
+    Updates += View.NumEdges;
+    const double D2 =
+        K.BpFactorSweep(View, State, C, 0, View.NumFactors,
+                        Opts.ResidualScheduling, Refresh, &Updates, &Skipped);
+    Delta = D1 > D2 ? D1 : D2;
+  }
+  Iterations = Iter;
+}
+
+Marginals BpEngine::beliefs(Marginals *GraphLikelihood) const {
+  Marginals Out(View.NumVars, 0.5);
+  if (GraphLikelihood)
+    GraphLikelihood->assign(View.NumVars, 0.5);
+  for (uint32_t Var = 0; Var != View.NumVars; ++Var) {
+    double True = View.Priors[Var];
+    double False = 1.0 - True;
+    double GraphTrue = 1.0, GraphFalse = 1.0;
+    for (uint32_t I = View.VarOffset[Var]; I != View.VarOffset[Var + 1];
+         ++I) {
+      const double In = FactorToVar[View.VarEdges[I]];
+      const double MsgTrue = clampProb(In);
+      const double MsgFalse = clampProb(1.0 - In);
+      True *= MsgTrue;
+      False *= MsgFalse;
+      GraphTrue *= MsgTrue;
+      GraphFalse *= MsgFalse;
+      // Renormalize as we go so long products stay in range.
+      const double Scale = GraphTrue + GraphFalse;
+      GraphTrue /= Scale;
+      GraphFalse /= Scale;
+    }
+    const double Sum = True + False;
+    Out[Var] = Sum > 0 ? True / Sum : 0.5;
+    if (GraphLikelihood)
+      (*GraphLikelihood)[Var] = GraphTrue;
+  }
+  return Out;
+}
+
+} // namespace
 
 Marginals SumProductSolver::solve(const FactorGraph &G,
                                   Marginals *GraphLikelihood,
@@ -39,68 +253,57 @@ Marginals SumProductSolver::solve(const FactorGraph &G,
                             "solver");
   const bool TraceIters =
       telemetry::enabled(telemetry::TraceLevel::Solver);
-  const unsigned NumVars = G.variableCount();
-  const unsigned NumFactors = G.factorCount();
-  const FactorGraph::EdgeLayout &L = G.edgeLayout();
   // Fault 'bp-nonconverge': run normally but report the solve as not
   // converged, exactly as on a frustrated loopy graph.
   const bool ForcedNonConvergence =
       faults::anyActive() && faults::active(FaultKind::BpNonConvergence);
 
-  std::vector<double> Priors(NumVars);
-  for (unsigned V = 0; V != NumVars; ++V)
-    Priors[V] = G.variable(V).Prior;
-
-  kern::BpView View;
-  View.NumVars = NumVars;
-  View.NumFactors = NumFactors;
-  View.NumEdges = L.edgeCount();
-  View.FactorOffset = L.FactorOffset.data();
-  View.VarOffset = L.VarOffset.data();
-  View.VarEdges = L.VarEdges.data();
-  View.VmFactor = L.VmFactor.data();
-  View.TableOffset = L.TableOffset.data();
-  View.TableFlat = L.TableFlat.data();
-  View.Priors = Priors.data();
-
-  bp::BpEngine Engine(View);
-  bp::Span S;
-  S.VarEnd = NumVars;
-  S.FactorEnd = NumFactors;
-  Engine.run(Opts, &S, 1, TraceIters);
-  LastIterations = S.Iterations;
-  const bool Converged =
-      bp::spanConverged(S, ForcedNonConvergence, Opts.Tolerance);
-  if (Report)
-    bp::fillReport(*Report, S, ForcedNonConvergence, Opts.Tolerance);
+  BpEngine Engine(G);
+  Engine.run(Opts, TraceIters);
+  const bool Converged = !ForcedNonConvergence && !Engine.DeadlineExpired &&
+                         Engine.Delta <= Opts.Tolerance;
+  if (Report) {
+    Report->Iterations = Engine.Iterations;
+    Report->Residual = Engine.Delta;
+    Report->DeadlineExpired = Engine.DeadlineExpired;
+    Report->Converged = Converged;
+    Report->Updates = Engine.Updates;
+    Report->SkippedUpdates = Engine.Skipped;
+    Report->Reason.clear();
+    if (!Converged)
+      Report->Reason = formatStr(
+          "residual %.2g after %u iterations%s%s", Engine.Delta,
+          Engine.Iterations,
+          Engine.DeadlineExpired ? ", budget expired" : "",
+          ForcedNonConvergence ? ", injected non-convergence" : "");
+  }
   if (TraceIters)
     telemetry::counterSample("bp.residual", telemetry::TraceLevel::Solver,
-                             "solver", "residual", S.Delta);
+                             "solver", "residual", Engine.Delta);
   if (telemetry::enabled(telemetry::TraceLevel::Phase)) {
     telemetry::counter("solver.bp.solves").add(1);
-    telemetry::counter("solver.bp.messages").add(S.Updates);
-    telemetry::counter("solver.bp.skipped_updates").add(S.Skipped);
+    telemetry::counter("solver.bp.messages").add(Engine.Updates);
+    telemetry::counter("solver.bp.skipped_updates").add(Engine.Skipped);
     if (!Converged)
       telemetry::counter("solver.bp.nonconverged").add(1);
     telemetry::histogram("solver.bp.iterations")
-        .record(static_cast<double>(S.Iterations));
-    telemetry::histogram("solver.bp.residual").record(S.Delta);
+        .record(static_cast<double>(Engine.Iterations));
+    telemetry::histogram("solver.bp.residual").record(Engine.Delta);
     telemetry::histogram("solver.bp.seconds").record(SolveTimer.seconds());
   }
   if (SolveSpan.active()) {
-    SolveSpan.arg("vars", NumVars);
-    SolveSpan.arg("factors", NumFactors);
-    SolveSpan.arg("iters", S.Iterations);
-    SolveSpan.arg("residual", S.Delta);
+    SolveSpan.arg("vars", G.variableCount());
+    SolveSpan.arg("factors", G.factorCount());
+    SolveSpan.arg("iters", Engine.Iterations);
+    SolveSpan.arg("residual", Engine.Delta);
     SolveSpan.argBool("converged", Converged);
-    SolveSpan.arg("messages", S.Updates);
+    SolveSpan.arg("messages", Engine.Updates);
     SolveSpan.arg("backend", kern::solverKernels().Name);
     if (!Opts.Budget.unlimited())
       SolveSpan.arg("budget_remaining_s", Opts.Budget.remainingSeconds());
   }
 
-  Marginals Result;
-  Engine.beliefs(S, Result, GraphLikelihood);
+  Marginals Result = Engine.beliefs(GraphLikelihood);
   if (Report)
     Report->Seconds = SolveTimer.seconds();
   return Result;

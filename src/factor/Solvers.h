@@ -109,27 +109,8 @@ public:
   Marginals solve(const FactorGraph &G, Marginals *GraphLikelihood = nullptr,
                   SolveReport *Report = nullptr) const;
 
-  /// Iterations used by the last solve() call.
-  mutable unsigned LastIterations = 0;
-
 private:
   Options Opts;
-};
-
-/// Injection seam for BP solves. AnekInfer routes every sum-product
-/// solve through InferOptions::Bp when set, instead of constructing a
-/// SumProductSolver locally; the serving layer installs a delegate that
-/// fuses concurrent requests' solves into one shared-arena kernel sweep
-/// (serve/FusedSolver.h). The contract is strict byte-identity with
-/// `SumProductSolver(O).solve(G, GraphLikelihood, Report)` — marginals,
-/// likelihoods, and report fields must not depend on how solves were
-/// batched.
-class BpSolveDelegate {
-public:
-  virtual ~BpSolveDelegate() = default;
-  virtual Marginals solve(const SumProductSolver::Options &O,
-                          const FactorGraph &G, Marginals *GraphLikelihood,
-                          SolveReport *Report) = 0;
 };
 
 /// Exact marginals by enumerating all 2^n assignments. Only usable for

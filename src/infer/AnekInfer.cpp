@@ -416,10 +416,6 @@ Expected<Marginals> InferEngine::solveGraph(const FactorGraph &G,
   auto RunBp = [&](SumProductSolver::Options O) {
     O.Budget = Budget;
     Report.Used = SolverChoice::SumProduct;
-    // The delegate (when installed) is contractually byte-identical to
-    // the local solver, so the cascade does not care which path ran.
-    if (Opts.Bp)
-      return Opts.Bp->solve(O, G, &GraphBelief, &Report.Solve);
     return SumProductSolver(O).solve(G, &GraphBelief, &Report.Solve);
   };
   auto RunGibbs = [&]() {

@@ -193,15 +193,6 @@ struct InferOptions {
   /// guaranteed to reproduce what a fresh solve would compute. Never set
   /// in a shard worker.
   SolveCache *Cache = nullptr;
-
-  // Fused solving (DESIGN.md, "Solver kernel layout").
-  /// When set, every sum-product solve the engine issues is routed
-  /// through this delegate instead of a locally constructed
-  /// SumProductSolver. The serving layer installs serve::FusedBpSolver
-  /// here so concurrent requests' solves rendezvous into shared-arena
-  /// kernel sweeps; the delegate contract (factor/Solvers.h) keeps
-  /// results byte-identical either way.
-  BpSolveDelegate *Bp = nullptr;
 };
 
 /// How one method's SOLVE step went, cascade decisions included.

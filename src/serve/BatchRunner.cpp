@@ -9,7 +9,6 @@
 #include "infer/AnekInfer.h"
 #include "lang/PrettyPrinter.h"
 #include "lang/Sema.h"
-#include "serve/FusedSolver.h"
 #include "serve/Manifest.h"
 #include "serve/RequestQueue.h"
 #include "support/FaultInject.h"
@@ -161,12 +160,6 @@ Status BatchRunner::runAttempt(const BatchRequest &R, ThreadPool *SharedPool,
   if (Opts.Cache && !CacheDir.empty())
     InferOpts.Cache = Opts.Cache(CacheDir);
 
-  // Fused solving: route this request's BP solves through the shared
-  // rendezvous delegate. Safe unconditionally — deadlined requests carry
-  // a per-solve budget, which the delegate bypasses inline, and the
-  // delegate contract keeps results byte-identical.
-  InferOpts.Bp = FusedBp;
-
   InferResult Inference = runAnekInfer(*Prog, InferOpts, &Diags);
   Res.PeakBytes = std::max(Res.PeakBytes, Charge.peak());
   // Cache traffic accumulates across attempts (a retried attempt's hits
@@ -292,17 +285,6 @@ std::vector<BatchResult> BatchRunner::run(std::vector<BatchRequest> Requests) {
                               });
   if (NeedPool)
     OwnedPool = std::make_unique<ThreadPool>(Opts.PoolThreads);
-
-  // The fused-solve rendezvous is shared by all serving workers for the
-  // batch's lifetime; workers join before it is destroyed.
-  std::unique_ptr<FusedBpSolver> FusedSolver;
-  if (Opts.FuseSolves) {
-    FusedBpSolver::Options FuseOpts;
-    FuseOpts.MaxGraphs = Opts.FuseMaxGraphs ? Opts.FuseMaxGraphs : 1;
-    FuseOpts.WindowSeconds = Opts.FuseWindowSeconds;
-    FusedSolver = std::make_unique<FusedBpSolver>(FuseOpts);
-    FusedBp = FusedSolver.get();
-  }
 
   std::vector<BatchResult> Results(Requests.size());
   std::mutex EmitMutex;

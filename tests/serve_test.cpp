@@ -598,51 +598,6 @@ TEST_F(ServeTest, ShedWhenFullFloodsDeterministicallyToTerminalStates) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cross-request solve fusion
-//===----------------------------------------------------------------------===//
-
-// BatchOptions::FuseSolves packs concurrent requests' BP solves into one
-// shared CSR arena; the contract (Serve.h) is that results are
-// byte-identical either way. Compare every per-request field that the
-// solve path can influence.
-TEST_F(ServeTest, FusedBatchMatchesUnfusedByteIdentical) {
-  const char *Examples[] = {"file", "field", "spreadsheet"};
-  std::vector<BatchRequest> Requests;
-  for (unsigned I = 0; I < 9; ++I)
-    Requests.push_back(exampleRequest(I, Examples[I % 3]));
-
-  BatchOptions Plain;
-  Plain.Workers = 4;
-  std::vector<BatchResult> Unfused = BatchRunner(Plain).run(Requests);
-
-  BatchOptions Fused = Plain;
-  Fused.FuseSolves = true;
-  Fused.FuseMaxGraphs = 4;
-  // Widen the rendezvous window so batches actually form under test
-  // scheduling jitter; identity must hold regardless of batch shape.
-  Fused.FuseWindowSeconds = 0.005;
-  std::vector<BatchResult> FusedResults = BatchRunner(Fused).run(Requests);
-
-  ASSERT_EQ(Unfused.size(), 9u);
-  ASSERT_EQ(FusedResults.size(), 9u);
-  for (size_t I = 0; I < Unfused.size(); ++I) {
-    const BatchResult &A = Unfused[I];
-    const BatchResult &B = FusedResults[I];
-    EXPECT_EQ(A.Index, B.Index);
-    EXPECT_EQ(A.State, B.State) << "request " << I;
-    EXPECT_EQ(A.Output, B.Output) << "request " << I;
-    EXPECT_EQ(A.SpecCount, B.SpecCount) << "request " << I;
-    EXPECT_EQ(A.Attempts, B.Attempts) << "request " << I;
-    EXPECT_EQ(A.Reason, B.Reason) << "request " << I;
-    // The examples legitimately use fallback solvers, hence degraded.
-    EXPECT_TRUE(A.State == TerminalState::Ok ||
-                A.State == TerminalState::Degraded)
-        << "request " << I;
-    EXPECT_GE(B.QueueSeconds, 0.0);
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Driver surface: anek batch
 //===----------------------------------------------------------------------===//
 
@@ -718,6 +673,7 @@ TEST_F(BatchDriverTest, BatchRejectsMalformedManifestAndUsage) {
   EXPECT_EQ(runTool("batch"), 2);                    // No manifest.
   EXPECT_EQ(runTool("batch m.txt --workers 0"), 2); // Bad flag value.
   EXPECT_EQ(runTool("batch m.txt --frobnicate"), 2);
+  EXPECT_EQ(runTool("batch m.txt --fuse"), 2);
   EXPECT_EQ(runTool("batch /no/such/manifest.txt"), 1);
 }
 

@@ -4,8 +4,7 @@
 //
 // The determinism contract of the kernel backend seam (DESIGN.md, "Solver
 // kernel layout"): every backend — scalar reference, AVX2, NEON — produces
-// byte-identical solver output, and fused multi-graph solves are
-// byte-identical to the same solves run one at a time. The suite checks:
+// byte-identical solver output. The suite checks:
 //
 //  - the setKernelBackend API surface (unknown names, unavailable
 //    backends, the always-available scalar fallback);
@@ -16,8 +15,6 @@
 //  - the bit-parallel (popcount) exact enumeration against brute force,
 //    including the <6-variable and wide-factor fallbacks to the scalar
 //    loop, DNF limits, budgets, and unsatisfiable graphs;
-//  - fusedBpSolve vs sequential SumProductSolver solves, bit for bit,
-//    and the serving-side FusedBpSolver rendezvous under real threads;
 //  - the driver: --kernel-backend scalar and ANEK_FORCE_SCALAR=1 must
 //    not change a single output byte at any -j.
 //
@@ -27,10 +24,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "factor/FactorGraph.h"
-#include "factor/Fused.h"
 #include "factor/Kernels.h"
 #include "factor/Solvers.h"
-#include "serve/FusedSolver.h"
 #include "support/Rng.h"
 
 #include <algorithm>
@@ -42,7 +37,6 @@
 #include <regex>
 #include <sstream>
 #include <sys/wait.h>
-#include <thread>
 #include <unistd.h>
 
 using namespace anek;
@@ -448,106 +442,6 @@ TEST(ExactEnumeration, WeightedSolveMatchesJointWeight) {
     for (unsigned V = 0; V != NumVars; ++V)
       EXPECT_EQ((*Got)[V], TrueMass[V] / Total) << Seed << "/" << V;
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Fused solves
-//===----------------------------------------------------------------------===//
-
-TEST(FusedSolve, BatchMatchesSequentialBitExact) {
-  std::vector<FactorGraph> Graphs;
-  Graphs.push_back(makeRandomGraph(40, 80, 1001));
-  Graphs.push_back(makeRandomGraph(7, 9, 1002));
-  Graphs.push_back(FactorGraph()); // Empty graph rides along.
-  Graphs.push_back(makeRandomGraph(1, 2, 1003));
-  Graphs.push_back(makeRandomGraph(64, 150, 1004));
-
-  SumProductSolver::Options O;
-  std::vector<FusedBpJob> Jobs(Graphs.size());
-  for (size_t I = 0; I != Graphs.size(); ++I) {
-    Jobs[I].Graph = &Graphs[I];
-    Jobs[I].WantLikelihood = (I % 2) == 0;
-  }
-  fusedBpSolve(O, Jobs.data(), Jobs.size());
-
-  SumProductSolver Solver(O);
-  for (size_t I = 0; I != Graphs.size(); ++I) {
-    Marginals Lik;
-    SolveReport Rep;
-    Marginals M = Solver.solve(
-        Graphs[I], Jobs[I].WantLikelihood ? &Lik : nullptr, &Rep);
-    const std::string What = "fused job " + std::to_string(I);
-    EXPECT_TRUE(bitsEqual(M, Jobs[I].Out)) << What;
-    if (Jobs[I].WantLikelihood)
-      EXPECT_TRUE(bitsEqual(Lik, Jobs[I].GraphLikelihood)) << What;
-    expectReportsIdentical(Rep, Jobs[I].Report, What);
-  }
-}
-
-TEST(FusedSolve, SingleJobDegeneratesToStandalone) {
-  FactorGraph G = makeRandomGraph(24, 50, 7);
-  SumProductSolver::Options O;
-  FusedBpJob Job;
-  Job.Graph = &G;
-  Job.WantLikelihood = true;
-  fusedBpSolve(O, &Job, 1);
-
-  Marginals Lik;
-  SolveReport Rep;
-  Marginals M = SumProductSolver(O).solve(G, &Lik, &Rep);
-  EXPECT_TRUE(bitsEqual(M, Job.Out));
-  EXPECT_TRUE(bitsEqual(Lik, Job.GraphLikelihood));
-  expectReportsIdentical(Rep, Job.Report, "single fused job");
-}
-
-TEST(FusedRendezvous, ConcurrentSolvesMatchStandaloneBitExact) {
-  constexpr unsigned NumThreads = 8;
-  serve::FusedBpSolver::Options FuseOpts;
-  FuseOpts.MaxGraphs = 4;
-  FuseOpts.WindowSeconds = 0.05;
-  serve::FusedBpSolver Fused(FuseOpts);
-
-  SumProductSolver::Options O;
-  std::vector<FactorGraph> Graphs;
-  for (unsigned T = 0; T != NumThreads; ++T)
-    Graphs.push_back(makeRandomGraph(16 + T * 4, 30 + T * 8, 5000 + T));
-
-  std::vector<Marginals> Out(NumThreads), Lik(NumThreads);
-  std::vector<SolveReport> Rep(NumThreads);
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T != NumThreads; ++T)
-    Threads.emplace_back([&, T] {
-      Out[T] = Fused.solve(O, Graphs[T], &Lik[T], &Rep[T]);
-    });
-  for (std::thread &Th : Threads)
-    Th.join();
-
-  SumProductSolver Solver(O);
-  for (unsigned T = 0; T != NumThreads; ++T) {
-    Marginals WantLik;
-    SolveReport WantRep;
-    Marginals Want = Solver.solve(Graphs[T], &WantLik, &WantRep);
-    const std::string What = "rendezvous thread " + std::to_string(T);
-    EXPECT_TRUE(bitsEqual(Want, Out[T])) << What;
-    EXPECT_TRUE(bitsEqual(WantLik, Lik[T])) << What;
-    expectReportsIdentical(WantRep, Rep[T], What);
-  }
-
-  serve::FusedBpSolver::Stats S = Fused.stats();
-  EXPECT_EQ(S.Fused + S.Bypassed, NumThreads);
-  EXPECT_GE(S.Batches, 1u);
-
-  // A budgeted solve must bypass the rendezvous (its wall clock cannot
-  // couple to a batch) yet still return the standalone result.
-  SumProductSolver::Options Budgeted = O;
-  Budgeted.Budget = Deadline::afterSeconds(60.0);
-  SolveReport BypassRep, DirectRep;
-  Marginals Bypass = Fused.solve(Budgeted, Graphs[0], nullptr, &BypassRep);
-  Marginals Direct =
-      SumProductSolver(Budgeted).solve(Graphs[0], nullptr, &DirectRep);
-  EXPECT_TRUE(bitsEqual(Direct, Bypass));
-  expectReportsIdentical(DirectRep, BypassRep, "budgeted bypass");
-  EXPECT_EQ(Fused.stats().Bypassed, S.Bypassed + 1);
 }
 
 //===----------------------------------------------------------------------===//

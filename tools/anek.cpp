@@ -129,8 +129,7 @@ void usage() {
              "[--mem-budget BYTES[k|m|g]] [--jobs N | -j N] [--shards N] "
              "[--heartbeat-timeout SECS] [--shard-max-frame-bytes N] "
              "[--cache DIR] [--seed N] [--out FILE] [--shed-when-full] "
-             "[--fuse] [--kernel-backend NAME] [--fault SPEC] "
-             "[--slow-request SECS] "
+             "[--kernel-backend NAME] [--fault SPEC] [--slow-request SECS] "
              "[--trace FILE] [--metrics FILE] [--trace-level LEVEL]\n"
              "       anek workerd --listen <host:port | unix:PATH> "
              "[--max-frame-bytes N] [--idle-timeout SECS] [--fault SPEC] "
@@ -611,8 +610,6 @@ int runBatch(const std::vector<std::string> &Args) {
         return ExitUsage;
       }
       Opts.DefaultCacheDir = Value;
-    } else if (Args[I] == "--fuse") {
-      Opts.FuseSolves = true;
     } else if (Args[I] == "--shed-when-full") {
       Opts.ShedWhenFull = true;
     } else if (flagValue(Args, I, "--fault", Value)) {
