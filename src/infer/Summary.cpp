@@ -61,39 +61,70 @@ double TargetSummary::setSiteOdds(CallSiteKey Site,
                                   std::vector<double> Odds) {
   Odds.resize(size(), 1.0);
   std::vector<double> Before = pooled();
-  SiteOdds[Site] = std::move(Odds);
+  storeSite(Site, Odds);
   return maxDelta(Before, pooled());
 }
 
-std::vector<double> TargetSummary::pool(const std::vector<double> *SkipOdds,
-                                        const CallSiteKey *SkipSite) const {
-  std::vector<double> Out(size());
-  for (size_t I = 0; I != size(); ++I) {
-    double Odds = probToOdds(DeclaredPrior[I]);
-    if (SkipOdds != &SelfOdds && I < SelfOdds.size())
-      Odds *= SelfOdds[I];
-    for (const auto &[Site, Vec] : SiteOdds) {
-      if (SkipSite && Site == *SkipSite)
-        continue;
-      if (I < Vec.size())
-        Odds *= Vec[I];
-    }
-    Out[I] = oddsToProb(Odds);
+size_t TargetSummary::sitePosition(const CallSiteKey &Site) const {
+  return static_cast<size_t>(std::lower_bound(SiteKeys.begin(),
+                                              SiteKeys.end(), Site,
+                                              CallSiteOrder()) -
+                             SiteKeys.begin());
+}
+
+size_t TargetSummary::findSite(const CallSiteKey &Site) const {
+  size_t At = sitePosition(Site);
+  return At != SiteKeys.size() && SiteKeys[At] == Site ? At : NoSite;
+}
+
+void TargetSummary::storeSite(const CallSiteKey &Site,
+                              const std::vector<double> &Odds) {
+  assert(Odds.size() == size() && "site odds must cover every variable");
+  size_t At = sitePosition(Site);
+  auto Block = SiteOdds.begin() + At * size();
+  if (At != SiteKeys.size() && SiteKeys[At] == Site) {
+    std::copy(Odds.begin(), Odds.end(), Block);
+    return;
   }
-  return Out;
+  SiteKeys.insert(SiteKeys.begin() + At, Site);
+  SiteOdds.insert(Block, Odds.begin(), Odds.end());
+}
+
+std::vector<double> TargetSummary::pool(bool SkipSelf,
+                                        size_t SkipSite) const {
+  // Sites outer, variables inner. Each element sees one fixed product,
+  // prior * self * sites in CallSiteOrder, so its bits do not depend on
+  // the loop shape or the thread count.
+  const size_t N = size();
+  std::vector<double> Odds(N);
+  for (size_t I = 0; I != N; ++I) {
+    Odds[I] = probToOdds(DeclaredPrior[I]);
+    if (!SkipSelf)
+      Odds[I] *= SelfOdds[I];
+  }
+  for (size_t S = 0; S != SiteKeys.size(); ++S) {
+    if (S == SkipSite)
+      continue;
+    const double *Site = SiteOdds.data() + S * N;
+    for (size_t I = 0; I != N; ++I)
+      Odds[I] *= Site[I];
+  }
+  for (double &O : Odds)
+    O = oddsToProb(O);
+  return Odds;
 }
 
 std::vector<double> TargetSummary::pooled() const {
-  return pool(nullptr, nullptr);
+  return pool(/*SkipSelf=*/false, NoSite);
 }
 
 std::vector<double> TargetSummary::pooledWithoutSelf() const {
-  return pool(&SelfOdds, nullptr);
+  return pool(/*SkipSelf=*/true, NoSite);
 }
 
 std::vector<double>
 TargetSummary::pooledWithoutSite(CallSiteKey Site) const {
-  return pool(nullptr, &Site);
+  return pool(/*SkipSelf=*/false, findSite(Site));
 }
 
 MethodSummary MethodSummary::forMethod(const MethodDecl &Method, double Hi,

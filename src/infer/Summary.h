@@ -27,7 +27,6 @@
 #include "perm/PermKind.h"
 #include "perm/Spec.h"
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,9 +38,9 @@ namespace anek {
 using CallSiteKey = std::pair<const MethodDecl *, uint32_t>;
 
 /// Orders call-site keys by (caller declaration index, site index). The
-/// pooled odds product is a float reduction over the site map, so its
-/// iteration order is part of the result: pointer order would make
-/// summaries (and every downstream spec) vary with ASLR.
+/// pooled odds product is a float reduction over the sites in this order,
+/// so the order is part of the result: pointer order would make summaries
+/// (and every downstream spec) vary with ASLR.
 struct CallSiteOrder {
   bool operator()(const CallSiteKey &A, const CallSiteKey &B) const {
     unsigned AI = A.first ? A.first->DeclIndex : 0;
@@ -100,15 +99,32 @@ public:
 private:
   friend struct SummaryWireAccess;
 
-  std::vector<double> pool(const std::vector<double> *SkipOdds,
-                           const CallSiteKey *SkipSite) const;
+  /// Marks "no site to leave out" for pool().
+  static constexpr size_t NoSite = static_cast<size_t>(-1);
+
+  /// Pools every source except the own-body evidence (when \p SkipSelf)
+  /// and the site at index \p SkipSite of SiteKeys.
+  std::vector<double> pool(bool SkipSelf, size_t SkipSite) const;
+
+  /// Index of the first key in SiteKeys not ordered before \p Site.
+  size_t sitePosition(const CallSiteKey &Site) const;
+
+  /// Index of \p Site in SiteKeys, or NoSite when it has no evidence.
+  size_t findSite(const CallSiteKey &Site) const;
+
+  /// Overwrites the odds of \p Site, or inserts it at its CallSiteOrder
+  /// position. \p Odds holds exactly size() multipliers.
+  void storeSite(const CallSiteKey &Site, const std::vector<double> &Odds);
 
   std::vector<std::string> States;
   std::vector<double> DeclaredPrior; ///< Probabilities.
   std::vector<double> SelfOdds;      ///< Odds multipliers (1 = neutral).
-  /// Per-site odds in declaration-index order (see CallSiteOrder: the
-  /// pooling product must not depend on pointer values).
-  std::map<CallSiteKey, std::vector<double>, CallSiteOrder> SiteOdds;
+  /// Every site with evidence, sorted by CallSiteOrder (the pooling
+  /// product must not depend on pointer values).
+  std::vector<CallSiteKey> SiteKeys;
+  /// Site-major odds multipliers: site SiteKeys[S] owns the block
+  /// [S * size(), (S + 1) * size()).
+  std::vector<double> SiteOdds;
 };
 
 /// Summary of one method across every interface target.

@@ -16,9 +16,17 @@ struct SummaryWireAccess {
   static const std::vector<double> &selfOdds(const TargetSummary &T) {
     return T.SelfOdds;
   }
-  static const std::map<CallSiteKey, std::vector<double>, CallSiteOrder> &
-  siteOdds(const TargetSummary &T) {
+  /// Sites in CallSiteOrder; site S owns siteOdds()[S * size(), ...).
+  static const std::vector<CallSiteKey> &siteKeys(const TargetSummary &T) {
+    return T.SiteKeys;
+  }
+  static const std::vector<double> &siteOdds(const TargetSummary &T) {
     return T.SiteOdds;
+  }
+  /// Stores one decoded site; sites arriving in CallSiteOrder append.
+  static void storeSite(TargetSummary &T, const CallSiteKey &Site,
+                        const std::vector<double> &Odds) {
+    T.storeSite(Site, Odds);
   }
 };
 
@@ -50,13 +58,14 @@ void encodeTarget(wire::Writer &W,
   W.u32(static_cast<uint32_t>(Self.size()));
   for (double O : Self)
     W.f64(O);
-  const auto &Sites = SummaryWireAccess::siteOdds(*Target);
+  const std::vector<CallSiteKey> &Sites = SummaryWireAccess::siteKeys(*Target);
+  const double *Odds = SummaryWireAccess::siteOdds(*Target).data();
   W.u32(static_cast<uint32_t>(Sites.size()));
-  for (const auto &[Site, Odds] : Sites) {
+  for (const CallSiteKey &Site : Sites) {
     W.u32(Site.first ? Site.first->DeclIndex : 0);
     W.u32(Site.second);
-    for (double O : Odds)
-      W.f64(O);
+    for (size_t I = 0; I != Target->size(); ++I)
+      W.f64(*Odds++);
   }
 }
 
@@ -112,7 +121,7 @@ Status decodeTarget(wire::Reader &R, std::optional<TargetSummary> &Target,
     for (double &O : Odds)
       if (!R.f64(O))
         return corrupt("truncated site odds at " + Where);
-    Target->setSiteOdds({Caller->second, SiteIndex}, std::move(Odds));
+    SummaryWireAccess::storeSite(*Target, {Caller->second, SiteIndex}, Odds);
   }
   return Status::ok();
 }

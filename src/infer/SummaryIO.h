@@ -139,8 +139,8 @@ struct ShardMethodOutcome {
 };
 
 /// Serializes the evidence state of \p Summaries (sealed Snapshot blob).
-/// Iteration is declaration-index order (MethodDeclMap) and site maps are
-/// CallSiteOrder-ordered, so equal stores encode to equal bytes.
+/// Iteration is declaration-index order (MethodDeclMap) and each target
+/// keeps its sites in CallSiteOrder, so equal stores encode to equal bytes.
 std::string encodeSnapshot(const MethodDeclMap<MethodSummary> &Summaries);
 
 /// Overlays a snapshot blob onto \p Summaries, a skeleton store built

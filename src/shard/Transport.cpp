@@ -18,9 +18,9 @@ using namespace anek::shard;
 // --- PipeTransport -------------------------------------------------------
 
 PipeTransport::PipeTransport(std::vector<std::string> Argv,
-                             const std::string &InitPayload,
+                             std::string InitPayload,
                              uint64_t MaxFrameBytes)
-    : Argv(std::move(Argv)), InitPayload(InitPayload),
+    : Argv(std::move(Argv)), InitPayload(std::move(InitPayload)),
       MaxFrameBytes(MaxFrameBytes) {}
 
 Status PipeTransport::open() {
@@ -63,11 +63,11 @@ void PipeTransport::injectHang() { Child.kill(SIGSTOP); }
 // --- SocketTransport -----------------------------------------------------
 
 SocketTransport::SocketTransport(std::string Address,
-                                 const std::string &InitPayload,
+                                 std::string InitPayload,
                                  double ConnectTimeoutSeconds,
                                  uint64_t MaxFrameBytes,
                                  std::string FaultScope)
-    : Address(std::move(Address)), InitPayload(InitPayload),
+    : Address(std::move(Address)), InitPayload(std::move(InitPayload)),
       ConnectTimeoutSeconds(ConnectTimeoutSeconds),
       MaxFrameBytes(MaxFrameBytes), FaultScope(std::move(FaultScope)) {}
 

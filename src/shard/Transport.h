@@ -90,7 +90,7 @@ public:
   /// \p Argv is the full worker command line; \p InitPayload the
   /// encodeInit bytes written right after spawn; \p MaxFrameBytes the
   /// per-connection frame cap (0 = protocol default).
-  PipeTransport(std::vector<std::string> Argv, const std::string &InitPayload,
+  PipeTransport(std::vector<std::string> Argv, std::string InitPayload,
                 uint64_t MaxFrameBytes);
   ~PipeTransport() override { close(); }
 
@@ -106,7 +106,7 @@ public:
 
 private:
   std::vector<std::string> Argv;
-  const std::string &InitPayload;
+  std::string InitPayload; ///< Owned: callers may pass a temporary.
   uint64_t MaxFrameBytes;
   subprocess::ChildProcess Child;
   bool Ready = false;
@@ -117,7 +117,7 @@ class SocketTransport : public Transport {
 public:
   /// \p FaultScope scopes the net-* fault filters exactly as the other
   /// shard faults are scoped (the coordinator's InferOptions.FaultScope).
-  SocketTransport(std::string Address, const std::string &InitPayload,
+  SocketTransport(std::string Address, std::string InitPayload,
                   double ConnectTimeoutSeconds, uint64_t MaxFrameBytes,
                   std::string FaultScope);
   ~SocketTransport() override { close(); }
@@ -141,7 +141,7 @@ private:
   void blackholeReads();
 
   std::string Address;
-  const std::string &InitPayload;
+  std::string InitPayload; ///< Owned: callers may pass a temporary.
   double ConnectTimeoutSeconds;
   uint64_t MaxFrameBytes;
   std::string FaultScope;

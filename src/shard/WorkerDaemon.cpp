@@ -74,9 +74,13 @@ void WorkerDaemon::stop() {
       if (S->Fd >= 0)
         ::shutdown(S->Fd, SHUT_RDWR);
   }
-  Listener.close(); // Unblocks the acceptor.
+  // Wake the acceptor with shutdown() alone: close() rewrites the fd the
+  // acceptor is still reading, so it must wait until the join.
+  if (Listener.listening())
+    ::shutdown(Listener.fd(), SHUT_RDWR);
   if (Acceptor.joinable())
     Acceptor.join();
+  Listener.close();
   std::vector<std::unique_ptr<Session>> ToJoin;
   {
     std::lock_guard<std::mutex> Lock(Mutex);
@@ -121,10 +125,10 @@ void WorkerDaemon::acceptLoop() {
   for (;;) {
     Expected<int> Conn = Listener.accept(/*TimeoutSeconds=*/-1.0);
     if (!Conn) {
-      // The listener was closed under us (stop()) or gave a transient
+      // The listener was shut down under us (stop()) or gave a transient
       // accept failure; only the former ends the loop.
       std::lock_guard<std::mutex> Lock(Mutex);
-      if (Stopping || !Listener.listening())
+      if (Stopping)
         return;
       continue;
     }

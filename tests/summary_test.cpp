@@ -1,9 +1,16 @@
 //===- summary_test.cpp - Unit tests for probabilistic summaries -----------===//
 
 #include "infer/Summary.h"
+#include "infer/SummaryIO.h"
 #include "lang/Sema.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <map>
+#include <random>
 
 using namespace anek;
 
@@ -108,6 +115,109 @@ TEST(TargetSummaryTest, ConflictingVotesMajorityWins) {
   T.setSiteOdds({nullptr, 1}, Against);
   T.setSiteOdds({nullptr, 2}, Against);
   EXPECT_LT(T.pooled()[HasNextIdx], 0.2);
+}
+
+TEST(TargetSummaryTest, FlatPoolingMatchesSequentialProductBitExact) {
+  // Ten callers, each with 30 call sites into C.use's parameter: 300
+  // sites, stored in shuffled order, some of them re-set afterwards.
+  std::string Source = "@States({\"OPEN\", \"DONE\"}) class It { }\n"
+                       "class C {\n"
+                       "  @Perm(requires=\"full(p) in OPEN\")\n"
+                       "  void use(It p) { }\n";
+  for (unsigned I = 0; I != 10; ++I)
+    Source += "  void caller" + std::to_string(I) + "() { }\n";
+  Source += "}\n";
+  auto Prog = analyze(Source);
+  TypeDecl *C = Prog->findType("C");
+  MethodDecl *Use = C->findMethod("use", 1);
+  std::vector<const MethodDecl *> Callers;
+  for (const auto &M : C->Methods)
+    if (M.get() != Use)
+      Callers.push_back(M.get());
+  ASSERT_EQ(Callers.size(), 10u);
+
+  MethodDeclMap<MethodSummary> Store;
+  for (const auto &M : C->Methods)
+    Store.emplace(M.get(), MethodSummary::forMethod(*M, 0.9, 0.1));
+  TargetSummary &T = *Store.at(Use).ParamPre[0];
+  const size_t N = T.size();
+  ASSERT_EQ(N, NumPermKinds + 3); // Kinds + ALIVE, OPEN, DONE.
+
+  // The prior setDeclaredPrior seeds for "full(p) in OPEN".
+  std::vector<double> Prior(N, 0.1);
+  Prior[static_cast<unsigned>(PermKind::Full)] = 0.9;
+  Prior[NumPermKinds + 1] = 0.9;
+
+  std::mt19937_64 Rng(13);
+  std::uniform_real_distribution<double> LogOdds(-std::log(9.0),
+                                                 std::log(9.0));
+  auto RandomOdds = [&] {
+    std::vector<double> Odds(N);
+    for (double &O : Odds)
+      O = std::exp(LogOdds(Rng));
+    return Odds;
+  };
+
+  std::vector<CallSiteKey> Keys;
+  for (const MethodDecl *Caller : Callers)
+    for (uint32_t Site = 0; Site != 30; ++Site)
+      Keys.emplace_back(Caller, Site);
+  std::shuffle(Keys.begin(), Keys.end(), Rng);
+
+  std::vector<double> Self = RandomOdds();
+  T.setSelfOdds(Self);
+  std::map<CallSiteKey, std::vector<double>, CallSiteOrder> Reference;
+  for (const CallSiteKey &Key : Keys) {
+    Reference[Key] = RandomOdds();
+    T.setSiteOdds(Key, Reference[Key]);
+  }
+  for (size_t I = 0; I != 60; ++I) {
+    const CallSiteKey &Key = Keys[(I * 37) % Keys.size()];
+    Reference[Key] = RandomOdds();
+    T.setSiteOdds(Key, Reference[Key]);
+  }
+  ASSERT_EQ(Reference.size(), 300u);
+
+  // The reference product, element by element: prior, self, then every
+  // site in CallSiteOrder.
+  auto Expected = [&](bool SkipSelf, const CallSiteKey *SkipSite) {
+    std::vector<double> Out(N);
+    for (size_t I = 0; I != N; ++I) {
+      double Odds = probToOdds(Prior[I]);
+      if (!SkipSelf)
+        Odds *= Self[I];
+      for (const auto &[Key, SiteOdds] : Reference)
+        if (!SkipSite || Key != *SkipSite)
+          Odds *= SiteOdds[I];
+      Out[I] = oddsToProb(Odds);
+    }
+    return Out;
+  };
+  auto SameBits = [](const std::vector<double> &A,
+                     const std::vector<double> &B) {
+    return A.size() == B.size() &&
+           std::memcmp(A.data(), B.data(), A.size() * sizeof(double)) == 0;
+  };
+  EXPECT_TRUE(SameBits(T.pooled(), Expected(false, nullptr)));
+  EXPECT_TRUE(SameBits(T.pooledWithoutSelf(), Expected(true, nullptr)));
+  for (const CallSiteKey &Key : Keys)
+    ASSERT_TRUE(SameBits(T.pooledWithoutSite(Key), Expected(false, &Key)))
+        << Key.first->Name << " site " << Key.second;
+  // A site without evidence leaves nothing out.
+  const CallSiteKey Unknown{Callers.front(), 99};
+  EXPECT_TRUE(SameBits(T.pooledWithoutSite(Unknown), T.pooled()));
+
+  // Many-site snapshot round trip: bytes and pooled bits survive.
+  const std::string Blob = summaryio::encodeSnapshot(Store);
+  MethodDeclMap<MethodSummary> Decoded;
+  for (const auto &M : C->Methods)
+    Decoded.emplace(M.get(), MethodSummary::forMethod(*M, 0.9, 0.1));
+  ASSERT_TRUE(summaryio::decodeSnapshot(Blob, Decoded).isOk());
+  EXPECT_EQ(summaryio::encodeSnapshot(Decoded), Blob);
+  const TargetSummary &Back = *Decoded.at(Use).ParamPre[0];
+  EXPECT_TRUE(SameBits(Back.pooled(), T.pooled()));
+  EXPECT_TRUE(SameBits(Back.pooledWithoutSite(Keys.front()),
+                       T.pooledWithoutSite(Keys.front())));
 }
 
 //===----------------------------------------------------------------------===//

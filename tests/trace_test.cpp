@@ -62,6 +62,18 @@ void *operator new(size_t Size) {
 
 void *operator new[](size_t Size) { return ::operator new(Size); }
 
+// The nothrow forms must come from malloc too: std::stable_sort's
+// temporary buffer is allocated with them and released through the
+// operator delete below, which frees with free().
+void *operator new(size_t Size, const std::nothrow_t &) noexcept {
+  GlobalAllocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(Size ? Size : 1);
+}
+
+void *operator new[](size_t Size, const std::nothrow_t &Tag) noexcept {
+  return ::operator new(Size, Tag);
+}
+
 void operator delete(void *P) noexcept { std::free(P); }
 void operator delete[](void *P) noexcept { std::free(P); }
 void operator delete(void *P, size_t) noexcept { std::free(P); }
