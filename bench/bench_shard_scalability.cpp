@@ -1,20 +1,20 @@
 //===- bench_shard_scalability.cpp - Shard-tier throughput and resilience --===//
 //
-// Measures the crash-tolerant shard tier across worker counts and
-// transports: repeated inference runs are farmed to 1/2/4 real worker
-// processes over the anek-shard-v2 protocol, once over the fork/exec
-// pipe transport and once over Unix-domain sockets against persistent
-// `workerd` daemons. For each (transport, workers) cell the bench
+// Measures the crash-tolerant shard tier across worker counts and the
+// two ways a worker session opens: repeated inference runs are farmed to
+// 1/2/4 workers over the anek-shard-v2 protocol, once to local `--worker`
+// children on socketpairs and once to persistent `workerd` daemons over
+// Unix-domain sockets. For each (transport, workers) cell the bench
 // records sustained throughput (runs per second) for a clean pass and
 // for a chaos pass in which every run loses one worker mid-shard — a
-// SIGKILL on the pipe transport, a hard RST on the socket transport.
-// The respawn rate (re-dispatches per dispatch) quantifies what crash
-// tolerance costs; the reconnect rate (reconnects per remote dispatch)
-// shows how often the socket tier had to re-open a session. Comparing
-// the socket column's clean throughput against pipe shows what the
-// daemon's resident-program cache buys: pipe workers re-parse the
-// program on every run, socket sessions hit the Init digest
-// (DESIGN.md, "Sharded execution and failure model").
+// SIGKILL on a local child, a hard RST on a remote session. The respawn
+// rate (re-dispatches per dispatch) quantifies what crash tolerance
+// costs; the reconnect rate (session reopens per dispatch) shows how
+// often slots had to open a fresh session. Comparing the remote
+// column's clean throughput against local shows what the daemon's
+// resident-program cache buys: a local child parses the program once
+// per session, a remote session hits the Init digest (DESIGN.md,
+// "Sharded execution and failure model").
 //
 // The bench re-execs itself as its own worker (the hidden --worker
 // mode) and as its own daemons (--workerd). Writes
@@ -51,7 +51,7 @@ using namespace anek;
 namespace {
 
 struct Sample {
-  const char *Transport = "pipe";
+  const char *Transport = "local";
   unsigned Workers = 0;
   unsigned Rounds = 0;
   double CleanSeconds = 0.0;
@@ -71,16 +71,16 @@ struct Sample {
                : 0.0;
   }
   double reconnectRate() const {
-    return Chaos.RemoteDispatches
+    return Chaos.ShardsDispatched
                ? static_cast<double>(Chaos.Reconnects) /
-                     Chaos.RemoteDispatches
+                     Chaos.ShardsDispatched
                : 0.0;
   }
 };
 
 /// One sharded inference run; returns the engine-merged shard stats.
-/// With endpoints the coordinator dispatches over sockets and falls
-/// down the ladder on loss; without, it forks pipe workers.
+/// With endpoints the coordinator opens remote sessions; without, it
+/// spawns local workers.
 ShardStats runOnce(const std::string &Source, unsigned Workers,
                    const std::vector<std::string> &Endpoints) {
   DiagnosticEngine Diags;
@@ -119,14 +119,13 @@ void accumulate(ShardStats &Into, const ShardStats &S) {
   Into.WorkersLost += S.WorkersLost;
   Into.WorkersSpawned += S.WorkersSpawned;
   Into.ShardsQuarantined += S.ShardsQuarantined;
-  Into.EndpointsQuarantined += S.EndpointsQuarantined;
 }
 
 Sample sweepOnce(const std::string &Source, unsigned Workers,
                  unsigned Rounds,
                  const std::vector<std::string> &Endpoints) {
   Sample S;
-  S.Transport = Endpoints.empty() ? "pipe" : "socket";
+  S.Transport = Endpoints.empty() ? "local" : "remote";
   S.Workers = Workers;
   S.Rounds = Rounds;
 
@@ -137,9 +136,9 @@ Sample sweepOnce(const std::string &Source, unsigned Workers,
 
   Timer ChaosClock;
   for (unsigned R = 0; R < Rounds; ++R) {
-    // On the pipe transport this SIGKILLs a worker mid-shard; on the
-    // socket transport it resets the session with a hard RST — the
-    // daemon survives, the slot reconnects.
+    // On a local session this SIGKILLs the worker mid-shard; on a remote
+    // one it resets the session with a hard RST — the daemon survives,
+    // the slot reconnects.
     faults::ScopedFault Crash(FaultKind::WorkerCrash, "", 1);
     accumulate(S.Chaos, runOnce(Source, Workers, Endpoints));
   }
@@ -237,10 +236,10 @@ OverheadSample measureTelemetryOverhead(const std::string &Source,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  // The coordinators in this bench re-exec this binary as their worker
-  // processes, and the socket sweep re-execs it as its daemons.
+  // The coordinators in this bench re-exec this binary as their local
+  // workers, and the remote sweep re-execs it as its daemons.
   if (Argc > 1 && std::strcmp(Argv[1], "--worker") == 0)
-    return shard::runWorkerLoop(STDIN_FILENO, STDOUT_FILENO);
+    return shard::runWorkerLoop();
   if (Argc > 1 && std::strcmp(Argv[1], "--workerd") == 0) {
     shard::WorkerDaemonOptions Opts;
     for (int I = 2; I + 1 < Argc; I += 2)
@@ -258,7 +257,7 @@ int main(int Argc, char **Argv) {
   const unsigned Rounds = 20;
   const std::string Source = iteratorApiSource() + spreadsheetSource();
 
-  // A private daemon fleet for the socket rows, on Unix sockets so the
+  // A private daemon fleet for the remote rows, on Unix sockets so the
   // bench never depends on a free TCP port.
   char Dir[] = "/tmp/anek-bench-net-XXXXXX";
   if (!::mkdtemp(Dir)) {
@@ -337,7 +336,6 @@ int main(int Argc, char **Argv) {
          << ", \"reconnects\": " << S.Chaos.Reconnects
          << ", \"workers_spawned\": " << S.Chaos.WorkersSpawned
          << ", \"workers_lost\": " << S.Chaos.WorkersLost
-         << ", \"endpoints_quarantined\": " << S.Chaos.EndpointsQuarantined
          << ", \"respawn_rate\": " << S.respawnRate()
          << ", \"reconnect_rate\": " << S.reconnectRate() << "}"
          << (I + 1 < Samples.size() ? "," : "") << "\n";

@@ -61,24 +61,21 @@ struct ShardStats {
   unsigned ShardsDispatched = 0;
   /// Dispatches that were retries after a worker loss.
   unsigned Redispatches = 0;
-  /// Worker processes lost: crashed, hung past the heartbeat deadline,
-  /// or recycled after an unreadable frame.
+  /// Worker sessions lost: failed to open, crashed, hung past the
+  /// heartbeat deadline, or recycled after an unreadable frame.
   unsigned WorkersLost = 0;
+  /// Local worker processes spawned (and handshaken).
   unsigned WorkersSpawned = 0;
   /// Shards that exhausted their loss budget and were degraded to
   /// in-process sequential execution (terminal state
   /// degraded(shard-quarantine); the work is never lost).
   unsigned ShardsQuarantined = 0;
-  /// Dispatches served over a socket transport (remote worker daemons);
-  /// the rest ran over local fork/exec pipes.
+  /// Dispatches served by remote worker daemons; the rest ran on local
+  /// worker processes.
   unsigned RemoteDispatches = 0;
-  /// Socket sessions opened to an endpoint that had been connected
-  /// before — the reconnect-after-loss (or after-refusal) path.
+  /// Sessions a worker slot opened after its first — the reopen-after-
+  /// loss path, remote or local.
   unsigned Reconnects = 0;
-  /// Remote endpoints that exhausted their reconnect credit and were
-  /// quarantined for the run; dispatches fall down the ladder to local
-  /// fork/exec workers (and ultimately in-process).
-  unsigned EndpointsQuarantined = 0;
 };
 
 /// Executes wave batches outside the engine's own process. The engine

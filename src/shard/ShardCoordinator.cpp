@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <thread>
 
 using namespace anek;
@@ -54,19 +53,14 @@ void absorbWorkerTelemetry(const TelemetryBlob &Blob, int64_t DispatchUs) {
   telemetry::absorbMetrics(Blob.Metrics, "shard.worker.");
 }
 
-bool isSocket(const Transport &T) {
-  return std::strcmp(T.kind(), "socket") == 0;
-}
-
 } // namespace
 
 ShardCoordinator::ShardCoordinator(Program &Prog, std::string Source,
                                    InferOptions Opts,
                                    CoordinatorOptions CoOpts)
-    : Prog(Prog), Opts(std::move(Opts)), Co(std::move(CoOpts)),
-      Endpoints(Co.EndpointReconnectAttempts) {
-  // The coordinator writes to pipes/sockets whose peer may be freshly
-  // dead; EPIPE must arrive as a Status, not SIGPIPE.
+    : Prog(Prog), Opts(std::move(Opts)), Co(std::move(CoOpts)) {
+  // The coordinator writes to sockets whose peer may be freshly dead;
+  // EPIPE must arrive as a Status, not SIGPIPE.
   subprocess::ignoreSigpipe();
   // Quarantine fallback and workers both run leaf analyses; neither may
   // recurse into sharding.
@@ -91,9 +85,9 @@ ShardCoordinator::ShardCoordinator(Program &Prog, std::string Source,
 }
 
 ShardCoordinator::~ShardCoordinator() {
-  // Best-effort graceful shutdown: a pipe worker exits, a daemon session
-  // ends (the daemon itself returns to accept). The transport destructors
-  // kill/close whatever ignores it (a SIGSTOPped straggler included).
+  // Best-effort graceful shutdown: a local worker exits, a daemon session
+  // ends (the daemon itself returns to accept). The session destructors
+  // kill/close whatever ignores it (a blackholed straggler included).
   for (std::unique_ptr<Slot> &S : Slots)
     if (S->Conn && S->Conn->healthy())
       (void)S->Conn->send(FrameType::Shutdown, {});
@@ -104,80 +98,47 @@ ShardStats ShardCoordinator::stats() const {
   return Stats;
 }
 
-void ShardCoordinator::noteEndpointFailure(const std::string &Endpoint) {
-  if (!Endpoints.recordFailure(Endpoint))
-    return;
-  {
-    std::lock_guard<std::mutex> Lock(StatsMutex);
-    ++Stats.EndpointsQuarantined;
-  }
-  bumpCounter("shard.endpoints_quarantined");
-  telemetry::instant("shard.endpoint_quarantine",
-                     telemetry::TraceLevel::Phase, "shard",
-                     "\"endpoint\": " + telemetry::jsonQuote(Endpoint));
-}
-
-Status ShardCoordinator::ensureWorker(Slot &S, unsigned SlotIndex,
-                                      bool &RemoteAttempt) {
-  RemoteAttempt = false;
+Status ShardCoordinator::ensureWorker(Slot &S, unsigned SlotIndex) {
   if (S.Conn && S.Conn->healthy())
     return Status::ok(); // Alive and Init'd from a previous dispatch.
-  dropWorker(S);
-
-  // Ladder rung 1: the slot's remote endpoint, while it has credit.
-  if (!S.Endpoint.empty() && !Endpoints.quarantined(S.Endpoint)) {
-    RemoteAttempt = true;
-    auto T = std::make_unique<SocketTransport>(
-        S.Endpoint, InitPayload, Co.ConnectTimeoutSeconds, Co.MaxFrameBytes,
-        Opts.FaultScope);
-    if (Status Up = T->open(); !Up) {
-      noteEndpointFailure(S.Endpoint);
-      return Up;
-    }
-    Endpoints.recordSuccess(S.Endpoint);
-    bool Reconnect;
-    {
-      std::lock_guard<std::mutex> Lock(StatsMutex);
-      Reconnect = EndpointConnects[S.Endpoint]++ > 0;
-      if (Reconnect)
-        ++Stats.Reconnects;
-    }
-    bumpCounter(Reconnect ? "shard.reconnects" : "shard.remote_connects");
-    if (telemetry::enabled(telemetry::TraceLevel::Phase))
+  S.Conn.reset();
+  auto Session = std::make_unique<WorkerSession>(
+      InitPayload, Co.ConnectTimeoutSeconds, Co.MaxFrameBytes,
+      Opts.FaultScope);
+  if (Status Up = Session->open(S.Endpoint, Co.WorkerArgv); !Up)
+    return Up;
+  const bool Remote = Session->remote();
+  const bool Reconnect = S.Opens++ > 0;
+  {
+    std::lock_guard<std::mutex> Lock(StatsMutex);
+    if (Reconnect)
+      ++Stats.Reconnects;
+    if (!Remote)
+      ++Stats.WorkersSpawned;
+  }
+  if (Reconnect)
+    bumpCounter("shard.reconnects");
+  bumpCounter(Remote ? "shard.remote_connects" : "shard.workers_spawned");
+  if (telemetry::enabled(telemetry::TraceLevel::Phase)) {
+    if (Remote)
       telemetry::instant("shard.remote_connect", telemetry::TraceLevel::Phase,
                          "shard",
                          formatStr("\"slot\": %u, \"reconnect\": %s, "
                                    "\"endpoint\": ",
                                    SlotIndex, Reconnect ? "true" : "false") +
                              telemetry::jsonQuote(S.Endpoint));
-    S.Conn = std::move(T);
-    return Status::ok();
+    else
+      telemetry::instant("shard.worker_spawn", telemetry::TraceLevel::Phase,
+                         "shard",
+                         formatStr("\"slot\": %u, \"pid\": %d", SlotIndex,
+                                   static_cast<int>(Session->pid())));
   }
-
-  // Ladder rung 2: a local fork/exec worker.
-  RemoteAttempt = false;
-  auto P = std::make_unique<PipeTransport>(Co.WorkerArgv, InitPayload,
-                                           Co.MaxFrameBytes);
-  if (Status Up = P->open(); !Up)
-    return Up;
-  {
-    std::lock_guard<std::mutex> Lock(StatsMutex);
-    ++Stats.WorkersSpawned;
-  }
-  bumpCounter("shard.workers_spawned");
-  if (telemetry::enabled(telemetry::TraceLevel::Phase))
-    telemetry::instant("shard.worker_spawn", telemetry::TraceLevel::Phase,
-                       "shard",
-                       formatStr("\"slot\": %u, \"pid\": %d", SlotIndex,
-                                 static_cast<int>(P->pid())));
-  S.Conn = std::move(P);
+  S.Conn = std::move(Session);
   return Status::ok();
 }
 
-void ShardCoordinator::dropWorker(Slot &S) { S.Conn.reset(); }
-
 Expected<std::vector<summaryio::ShardMethodOutcome>>
-ShardCoordinator::dispatchOnce(Transport &T, uint32_t Wave,
+ShardCoordinator::dispatchOnce(WorkerSession &T, uint32_t Wave,
                                const std::vector<unsigned> &Indices,
                                const std::string &Snapshot,
                                bool &WorkerReported) {
@@ -258,14 +219,13 @@ ShardCoordinator::runShard(unsigned SlotIndex, uint32_t Wave,
   Slot &S = *Slots[SlotIndex];
   const std::string RetryLabel =
       Opts.FaultScope + "/shard" + std::to_string(SlotIndex);
-  // Two loss budgets implement the ladder's bottom: remote losses charge
-  // the endpoint ledger (shared across slots; quarantine drops the slot
-  // to the pipe rung), local losses count here toward the shard's
-  // in-process quarantine. Attempts pace the shared backoff.
-  unsigned LocalLosses = 0;
+  // One loss budget: every lost session — failed open, failed handshake
+  // or mid-task loss, remote or local — counts toward the shard's
+  // in-process quarantine. Attempts pace the backoff.
+  unsigned Losses = 0;
   unsigned Attempt = 0;
   for (;;) {
-    if (LocalLosses >= Co.QuarantineAfter) {
+    if (Losses >= Co.QuarantineAfter) {
       // Quarantine: this shard keeps killing workers, so it degrades to
       // in-process sequential execution. Same snapshot, same options,
       // same bytes — the shard is slower, never lost.
@@ -278,7 +238,7 @@ ShardCoordinator::runShard(unsigned SlotIndex, uint32_t Wave,
                          "shard",
                          formatStr("\"slot\": %u, \"wave\": %u, "
                                    "\"losses\": %u",
-                                   SlotIndex, Wave, LocalLosses));
+                                   SlotIndex, Wave, Losses));
       telemetry::Span Q("shard.quarantine", telemetry::TraceLevel::Phase,
                         "shard");
       if (Q.active())
@@ -290,15 +250,12 @@ ShardCoordinator::runShard(unsigned SlotIndex, uint32_t Wave,
       if (Delay > 0.0)
         std::this_thread::sleep_for(std::chrono::duration<double>(Delay));
     }
-    bool RemoteAttempt = false;
-    if (Status Up = ensureWorker(S, SlotIndex, RemoteAttempt); !Up) {
-      // Session-establishment failure: a refused/reset/skewed connect
-      // already charged its endpoint inside ensureWorker; a failed local
-      // spawn counts against the same budget as a local loss — a slot
-      // that cannot even start a worker must still reach quarantine.
+    if (Status Up = ensureWorker(S, SlotIndex); !Up) {
+      // A session that cannot even be opened is a loss like any other: a
+      // slot whose daemon is gone or whose worker binary is broken must
+      // still reach quarantine.
       ++Attempt;
-      if (!RemoteAttempt)
-        ++LocalLosses;
+      ++Losses;
       {
         std::lock_guard<std::mutex> Lock(StatsMutex);
         ++Stats.WorkersLost;
@@ -306,7 +263,7 @@ ShardCoordinator::runShard(unsigned SlotIndex, uint32_t Wave,
       bumpCounter("shard.workers_lost");
       continue;
     }
-    const bool Remote = isSocket(*S.Conn);
+    const bool Remote = S.Conn->remote();
     {
       std::lock_guard<std::mutex> Lock(StatsMutex);
       ++Stats.ShardsDispatched;
@@ -319,7 +276,7 @@ ShardCoordinator::runShard(unsigned SlotIndex, uint32_t Wave,
 
     // Chaos control points, applied with real kernel effects the instant
     // the shard is dispatched: a killed worker crashes under the task
-    // (EOF/RST on its stream), a stopped one hangs (heartbeat silence).
+    // (EOF/RST on its stream), a blackholed one hangs (heartbeat silence).
     if (faults::anyActive()) {
       if (faults::consumeFire(FaultKind::WorkerCrash, Opts.FaultScope))
         S.Conn->injectCrash();
@@ -349,16 +306,13 @@ ShardCoordinator::runShard(unsigned SlotIndex, uint32_t Wave,
         "shard.worker_lost", telemetry::TraceLevel::Phase, "shard",
         formatStr("\"slot\": %u, \"wave\": %u, \"transport\": \"%s\", "
                   "\"kind\": \"%s\", \"message\": ",
-                  SlotIndex, Wave, S.Conn->kind(),
+                  SlotIndex, Wave, Remote ? "remote" : "local",
                   Out.status().code() == ErrorCode::DeadlineExceeded
                       ? "hang"
                       : "lost") +
             telemetry::jsonQuote(Out.status().message()));
-    if (Remote)
-      noteEndpointFailure(S.Endpoint);
-    else
-      ++LocalLosses;
-    dropWorker(S);
+    ++Losses;
+    S.Conn.reset();
     ++Attempt;
     {
       std::lock_guard<std::mutex> Lock(StatsMutex);

@@ -9,43 +9,39 @@
 /// "Sharded execution and failure model"). A ShardCoordinator implements
 /// the engine's WaveShardExecutor contract by partitioning each wave into
 /// contiguous shards and farming them to a pool of worker sessions over
-/// the anek-shard-v2 framed protocol — each session a Transport
-/// (Transport.h): a remote `anek workerd` daemon over a socket when an
-/// endpoint is configured, a local fork/exec'd `anek --worker` child
-/// otherwise.
+/// the anek-shard-v2 framed protocol — each a WorkerSession
+/// (WorkerSession.h): a remote `anek workerd` daemon when endpoints are
+/// configured, a local `anek --worker` child on a socketpair otherwise.
 ///
 /// Failure is first-class, not exceptional:
 ///
 ///  - *crash*: the worker's stream hits EOF or reset (or the Task write
-///    gets EPIPE/RST); the session is dropped, the shard re-dispatched.
+///    fails); the session is dropped, the shard re-dispatched.
 ///  - *hang*: no frame — heartbeat included — arrives within the
 ///    heartbeat deadline; the session is torn down and re-dispatched.
 ///  - *corrupt*: a frame fails its magic/version/length/checksum
 ///    validation; the session is recycled (its stream can no longer be
 ///    trusted) and the shard re-dispatched.
-///  - *refusal / reset / handshake skew*: a socket session cannot even be
+///  - *refusal / reset / handshake skew*: a session cannot even be
 ///    established; classified exactly like a loss.
 ///
 /// All of these classify as ErrorCode::WorkerLost — transient by
 /// contract — and re-dispatch backs off under the serving layer's
-/// RetryPolicy jitter. Remote failures additionally charge the endpoint's
-/// ledger (serve::EndpointLedger): after EndpointReconnectAttempts
-/// consecutive failures the endpoint is quarantined for the run and the
-/// slot falls down the *degradation ladder* — remote socket worker →
-/// local fork/exec worker → in-process execution. The last rung is the
-/// shard quarantine that always existed: QuarantineAfter consecutive
-/// local losses degrade the shard to runShardMethods in-process, so the
-/// terminal state is degraded(shard-quarantine) and never "lost". Because
-/// a re-dispatched or quarantined shard re-runs against the same frozen
-/// snapshot, the merged results are byte-identical to `-j1` no matter how
-/// many workers — local or remote — died along the way.
+/// RetryPolicy jitter. The ladder has two rungs: the slot's worker
+/// session, then in-process execution. A shard dispatch that loses
+/// QuarantineAfter sessions in a row — at open, in the handshake or
+/// mid-task, remote or local alike — is quarantined to runShardMethods
+/// in-process, so the terminal state is degraded(shard-quarantine) and
+/// never "lost". Because a re-dispatched or quarantined shard re-runs
+/// against the same frozen snapshot, the merged results are
+/// byte-identical to `-j1` no matter how many workers died along the way.
 ///
 /// The worker-crash / worker-hang / wire-corrupt fault kinds are
-/// implemented here with real kernel effects through the transport seam
-/// (SIGKILL or RST, SIGSTOP or a read blackhole, a flipped payload byte);
-/// the net-refuse / net-reset-midframe / net-stall / net-handshake-skew
-/// kinds live inside SocketTransport at the moment the real network
-/// failure would occur.
+/// implemented here with real kernel effects through the session
+/// (SIGKILL or RST, a read blackhole, a flipped payload byte); the
+/// net-refuse / net-reset-midframe / net-stall / net-handshake-skew
+/// kinds live inside WorkerSession at the moment the real failure would
+/// occur.
 ///
 /// The coordinator is also the telemetry aggregation point (DESIGN.md,
 /// "Distributed telemetry"): Telemetry frames arriving ahead of each
@@ -63,12 +59,11 @@
 
 #include "infer/AnekInfer.h"
 #include "serve/RetryPolicy.h"
-#include "shard/Transport.h"
+#include "shard/WorkerSession.h"
 #include "support/Subprocess.h"
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -86,20 +81,16 @@ struct CoordinatorOptions {
   /// every HeartbeatIntervalSeconds, so this is ~50 missed beats. The
   /// driver's `--heartbeat-timeout`.
   double HeartbeatTimeoutSeconds = 10.0;
-  /// Consecutive local (fork/exec) losses on one shard dispatch before it
-  /// is quarantined to in-process execution.
+  /// Consecutive session losses on one shard dispatch — failed opens and
+  /// handshakes included, remote or local — before the shard is
+  /// quarantined to in-process execution.
   unsigned QuarantineAfter = 3;
   /// Remote worker daemon endpoints ("host:port" or "unix:/path"); slot k
-  /// prefers Endpoints[k % size]. Empty = local fork/exec workers only.
-  /// The driver's `--workers ADDR[,ADDR...]`.
+  /// uses Endpoints[k % size]. Empty = local `--worker` children. The
+  /// driver's `--workers ADDR[,ADDR...]`.
   std::vector<std::string> Endpoints;
-  /// Socket connect (and handshake-reply) deadline per attempt.
+  /// Connect (and handshake-reply) deadline per session open.
   double ConnectTimeoutSeconds = 5.0;
-  /// Consecutive failures charged to one endpoint — refused/reset
-  /// connects, handshake rejections, mid-dispatch losses — before that
-  /// endpoint is quarantined for the run and its slots fall back to local
-  /// fork/exec workers.
-  unsigned EndpointReconnectAttempts = 3;
   /// Per-connection frame cap, bounding decode pre-allocation (0 = the
   /// protocol default, MaxFramePayload). The driver's
   /// `--shard-max-frame-bytes`.
@@ -123,9 +114,8 @@ struct CoordinatorOptions {
 ///
 /// Thread-safety: executeWave is called from the engine's scheduler loop
 /// (one wave at a time); the per-shard dispatch threads it spawns each
-/// own their worker slot exclusively. The endpoint ledger and the stats
-/// are shared across those threads and mutex-guarded; stats() may race
-/// executeWave.
+/// own their worker slot exclusively. The stats are shared across those
+/// threads and mutex-guarded; stats() may race executeWave.
 class ShardCoordinator : public WaveShardExecutor {
 public:
   /// \p Source must be the exact text \p Prog was parsed from — workers
@@ -144,23 +134,18 @@ public:
 
 private:
   struct Slot {
-    std::unique_ptr<Transport> Conn;
-    /// The remote endpoint this slot prefers; empty = local-only.
+    std::unique_ptr<WorkerSession> Conn;
+    /// The remote endpoint this slot uses; empty = local workers.
     std::string Endpoint;
+    /// Sessions this slot has opened; the second and later are
+    /// Reconnects.
+    unsigned Opens = 0;
   };
 
-  /// Establishes the slot's session if it is not already serving,
-  /// walking the ladder: remote endpoint (unless quarantined) first,
-  /// local fork/exec second. \p RemoteAttempt reports which rung failed
-  /// so the caller charges the right budget.
-  Status ensureWorker(Slot &S, unsigned SlotIndex, bool &RemoteAttempt);
-  /// Tears down the slot's session (kill/close + reap).
-  void dropWorker(Slot &S);
-  /// Charges one failure to \p Endpoint; on the quarantine transition,
-  /// records stats and telemetry.
-  void noteEndpointFailure(const std::string &Endpoint);
+  /// Establishes the slot's session if it is not already serving.
+  Status ensureWorker(Slot &S, unsigned SlotIndex);
   /// One shard, driven to its terminal state: dispatch / re-dispatch
-  /// under the loss budgets, then quarantine. Never loses the shard.
+  /// under the loss budget, then quarantine. Never loses the shard.
   Expected<std::vector<summaryio::ShardMethodOutcome>>
   runShard(unsigned SlotIndex, uint32_t Wave,
            const std::vector<unsigned> &Indices, const std::string &Snapshot);
@@ -171,7 +156,7 @@ private:
   /// dropped and counted, never escalated — losing a span must not cost
   /// a dispatch.
   Expected<std::vector<summaryio::ShardMethodOutcome>>
-  dispatchOnce(Transport &T, uint32_t Wave,
+  dispatchOnce(WorkerSession &T, uint32_t Wave,
                const std::vector<unsigned> &Indices,
                const std::string &Snapshot, bool &WorkerReported);
 
@@ -181,13 +166,9 @@ private:
   std::string InitPayload; ///< encodeInit(Source, Opts), sent per session.
   std::vector<std::unique_ptr<Slot>> Slots;
   std::atomic<uint32_t> WaveOrdinal{0}; ///< Stamped into Task frames.
-  serve::EndpointLedger Endpoints;      ///< Remote-endpoint credit.
 
   mutable std::mutex StatsMutex;
   ShardStats Stats;
-  /// Successful connects per endpoint; the second and later are
-  /// Reconnects. Guarded by StatsMutex.
-  std::map<std::string, unsigned> EndpointConnects;
 };
 
 } // namespace shard

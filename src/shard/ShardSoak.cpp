@@ -90,7 +90,7 @@ ShardSoakReport shard::runShardSoak(const ShardSoakConfig &Cfg) {
     // kinds with small fire budgets — enough to force re-dispatches and,
     // every few rounds, a quarantine. Net mode draws refusals, mid-frame
     // resets, stalls, handshake skew and session kills instead of the
-    // pipe-era kinds.
+    // worker-chaos kinds.
     faults::reset();
     uint64_t Roll = mix(Cfg.Seed * 1000003ULL + Round);
     bool Faulted =
@@ -115,7 +115,7 @@ ShardSoakReport shard::runShardSoak(const ShardSoakConfig &Cfg) {
           Spec = "net-handshake-skew*1";
           break;
         case 4:
-          // On a socket transport worker-crash kills the *session* with a
+          // On a remote session worker-crash kills the *session* with a
           // hard RST — the daemon survives and the slot reconnects.
           Spec = formatStr("worker-crash*%u",
                            1 + unsigned(mix(Roll + 2) % 2));
@@ -171,7 +171,7 @@ ShardSoakReport shard::runShardSoak(const ShardSoakConfig &Cfg) {
     CoOpts.WorkerArgv = Cfg.WorkerArgv;
     CoOpts.Endpoints = Cfg.Endpoints;
     // A refused connect to a freshly killed daemon must not burn seconds
-    // of soak wall-clock before falling down the ladder.
+    // of soak wall-clock before the slot retries.
     CoOpts.ConnectTimeoutSeconds = 2.0;
     CoOpts.Retry.Seed = Cfg.Seed;
     ShardCoordinator Coordinator(*Prog, Ex.Source, Opts, CoOpts);
@@ -222,7 +222,6 @@ ShardSoakReport shard::runShardSoak(const ShardSoakConfig &Cfg) {
     Report.Totals.WorkersLost += S.WorkersLost;
     Report.Totals.WorkersSpawned += S.WorkersSpawned;
     Report.Totals.ShardsQuarantined += S.ShardsQuarantined;
-    Report.Totals.EndpointsQuarantined += S.EndpointsQuarantined;
   }
 
   if (Cfg.MinDispatches != 0 &&
@@ -231,9 +230,9 @@ ShardSoakReport shard::runShardSoak(const ShardSoakConfig &Cfg) {
                       "meaningful exercise",
                       Report.Totals.ShardsDispatched, Cfg.MinDispatches));
   // A net soak that never reached a daemon exercised nothing but the
-  // fallback rungs — that is a broken harness, not a passing soak.
+  // in-process fallback — that is a broken harness, not a passing soak.
   if (!Cfg.Endpoints.empty() && Report.Totals.RemoteDispatches == 0)
     Violate("net soak made no remote dispatches — every round fell "
-            "straight to the fallback rungs");
+            "straight to in-process execution");
   return Report;
 }

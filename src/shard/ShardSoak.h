@@ -10,7 +10,7 @@
 /// under randomized — but seeded, hence reproducible — worker chaos
 /// (crashes, hangs, corrupted result frames, in combination), checking
 /// the tier's invariants. With Endpoints configured the same harness
-/// soaks the socket transport against live `anek workerd` daemons, and
+/// soaks remote sessions against live `anek workerd` daemons, and
 /// NetChaos draws from the network fault vocabulary instead — injected
 /// connection refusals, mid-frame resets, read stalls, handshake version
 /// skew — while the BetweenRounds hook lets the driver kill and respawn
@@ -56,17 +56,17 @@ struct ShardSoakConfig {
   /// Minimum total shard dispatches for the soak to count as a real
   /// exercise; fewer is a violation. 0 disables the check.
   unsigned MinDispatches = 0;
-  /// Worker command line; empty means {<self-exe>, "--worker"} (the soak
-  /// drivers handle --worker themselves; tests point this at `anek`).
-  /// Under Endpoints this is the fork/exec rung sockets degrade to.
+  /// Local worker command line; empty means {<self-exe>, "--worker"}
+  /// (the soak drivers handle --worker themselves; tests point this at
+  /// `anek`). Unused under Endpoints.
   std::vector<std::string> WorkerArgv;
   /// Remote `anek workerd` endpoints; non-empty runs every round over
-  /// socket transports (slot k prefers Endpoints[k % size], falling back
-  /// to WorkerArgv and then in-process on failure).
+  /// remote sessions (slot k uses Endpoints[k % size]; a shard that keeps
+  /// losing them quarantines to in-process execution).
   std::vector<std::string> Endpoints;
   /// Draw round chaos from the network fault vocabulary (net-refuse,
-  /// net-reset-midframe, net-stall, net-handshake-skew, plus socket
-  /// session kills) instead of the pipe-era kinds. Needs Endpoints.
+  /// net-reset-midframe, net-stall, net-handshake-skew, plus remote
+  /// session kills) instead of the worker-chaos kinds.
   bool NetChaos = false;
   /// Called at the top of each round before chaos is armed; soak drivers
   /// use it to SIGKILL and respawn real daemon processes mid-soak.

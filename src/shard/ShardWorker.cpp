@@ -1,4 +1,4 @@
-//===- ShardWorker.cpp - The `anek --worker` process loop -------------------===//
+//===- ShardWorker.cpp - The worker side of a shard session ---------------===//
 //
 // Part of the ANEK reproduction. See README.md.
 //
@@ -20,6 +20,7 @@
 #include <mutex>
 #include <thread>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 using namespace anek;
@@ -80,14 +81,10 @@ SessionResult shard::serveSession(int InFd, FrameSender &Sender,
   if (CollectLevel > static_cast<uint8_t>(telemetry::traceLevel()))
     telemetry::setTraceLevel(static_cast<telemetry::TraceLevel>(CollectLevel));
   const bool ShipTelemetry = CollectLevel != 0;
-  // Draining cursors into the local trace buffers: each task ships only
-  // the events recorded since the previous ship.
-  std::vector<size_t> ShipMarks;
 
   // Task service loop. The session is stateless across tasks; each Task
-  // frame carries its own snapshot, so a respawned worker — or another
-  // daemon session — picking up a re-dispatched shard starts from
-  // identical inputs.
+  // frame carries its own snapshot, so a fresh session picking up a
+  // re-dispatched shard starts from identical inputs.
   for (;;) {
     Expected<Frame> F =
         readFrame(InFd, Limits.IdleTimeoutSeconds, Limits.MaxFrameBytes);
@@ -115,8 +112,11 @@ SessionResult shard::serveSession(int InFd, FrameSender &Sender,
         break;
       }
       telemetry::MetricsSnapshot Before;
-      if (ShipTelemetry)
+      size_t EventMark = 0;
+      if (ShipTelemetry) {
         Before = telemetry::captureMetrics();
+        EventMark = telemetry::threadEventMark();
+      }
       int64_t TaskStartUs = telemetry::nowUs();
       Expected<std::vector<summaryio::ShardMethodOutcome>> Outcomes = [&] {
         HeartbeatPulse Pulse(Sender);
@@ -138,7 +138,7 @@ SessionResult shard::serveSession(int InFd, FrameSender &Sender,
         Blob.Wave = Meta.Wave;
         Blob.ParentFlowId = Meta.ParentFlowId;
         Blob.TaskStartUs = TaskStartUs;
-        Blob.Events = telemetry::collectEventsSince(ShipMarks);
+        Blob.Events = telemetry::collectThreadEventsSince(EventMark);
         Blob.Metrics =
             telemetry::diffMetrics(Before, telemetry::captureMetrics());
         (void)Sender.send(FrameType::Telemetry, encodeTelemetry(Blob));
@@ -168,37 +168,107 @@ SessionResult shard::serveSession(int InFd, FrameSender &Sender,
   }
 }
 
-int shard::runWorkerLoop(int InFd, int OutFd) {
+std::shared_ptr<ResidentProgram> ProgramCache::lookup(uint64_t Digest) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  for (auto &[D, Entry] : Entries)
+    if (D == Digest) {
+      ++Hits;
+      return Entry;
+    }
+  ++Misses;
+  return nullptr;
+}
+
+void ProgramCache::store(uint64_t Digest,
+                         std::shared_ptr<ResidentProgram> Entry) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  for (auto &[D, E] : Entries)
+    if (D == Digest) {
+      E = std::move(Entry); // A concurrent miss raced us; either wins.
+      return;
+    }
+  if (Entries.size() >= Capacity && !Entries.empty())
+    Entries.erase(Entries.begin()); // FIFO: evict the oldest.
+  Entries.emplace_back(Digest, std::move(Entry));
+}
+
+unsigned ProgramCache::hits() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Hits;
+}
+
+unsigned ProgramCache::misses() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Misses;
+}
+
+SessionResult shard::serveConnection(int Fd, ProgramCache *Cache,
+                                     const SessionLimits &Limits) {
+  FrameSender Sender(Fd);
+  auto Reject = [&](const std::string &Why) {
+    if (!Why.empty())
+      (void)Sender.send(FrameType::Error, Why);
+    ::shutdown(Fd, SHUT_RDWR);
+    SessionResult R;
+    R.Clean = false;
+    R.Rejected = true;
+    return R;
+  };
+
+  // Handshake. A frame with the wrong protocol version fails the decoder
+  // right here; the Error frame names the rejection for the peer.
+  Expected<Frame> F = readFrame(Fd, Limits.IdleTimeoutSeconds,
+                                Limits.MaxFrameBytes);
+  if (!F)
+    return Reject(F.status().code() == ErrorCode::InvalidArgument
+                      ? F.status().str()
+                      : std::string());
+  if (F->Type != FrameType::InitDigest)
+    return Reject(std::string("expected init-digest frame, got ") +
+                  frameTypeName(F->Type));
+  uint64_t Digest = 0;
+  if (Status D = decodeInitDigest(F->Payload, Digest); !D)
+    return Reject(D.str());
+  std::shared_ptr<ResidentProgram> Entry =
+      Cache ? Cache->lookup(Digest) : nullptr;
+
+  if (!Entry) {
+    // Miss: ask for the full Init, decode, parse, and (for a daemon) make
+    // the program resident under the digest of the exact bytes received
+    // — the coordinator computed its digest over the same bytes, so a
+    // later hit means an identical program.
+    if (!Sender.send(FrameType::InitNeeded, {}))
+      return Reject(std::string());
+    F = readFrame(Fd, Limits.IdleTimeoutSeconds, Limits.MaxFrameBytes);
+    if (!F)
+      return Reject(std::string());
+    if (F->Type != FrameType::Init)
+      return Reject(std::string("expected init frame, got ") +
+                    frameTypeName(F->Type));
+    auto Fresh = std::make_shared<ResidentProgram>();
+    std::string Source;
+    if (Status D =
+            decodeInit(F->Payload, Source, Fresh->Opts, &Fresh->CollectLevel);
+        !D)
+      return Reject(D.str());
+    DiagnosticEngine Diags;
+    Fresh->Prog = parseAndAnalyze(Source, Diags);
+    if (!Fresh->Prog)
+      return Reject("worker cannot parse program: " + Diags.str());
+    if (Cache)
+      Cache->store(initDigest(F->Payload), Fresh);
+    Entry = std::move(Fresh);
+  }
+
+  if (!Sender.send(FrameType::InitAck, {}))
+    return Reject(std::string());
+  return serveSession(Fd, Sender, *Entry->Prog, Entry->Opts,
+                      Entry->CollectLevel, Limits);
+}
+
+int shard::runWorkerLoop() {
   subprocess::ignoreSigpipe();
-  FrameSender Sender(OutFd);
-
-  // Session setup: exactly one Init frame, carrying everything needed to
-  // become the coordinator's algorithmic twin.
-  Expected<Frame> InitFrame = readFrame(InFd, /*TimeoutSeconds=*/-1.0);
-  if (!InitFrame)
-    return 1;
-  if (InitFrame->Type != FrameType::Init) {
-    (void)Sender.send(FrameType::Error,
-                      std::string("expected init frame, got ") +
-                          frameTypeName(InitFrame->Type));
-    return 1;
-  }
-  std::string Source;
-  InferOptions Opts;
-  uint8_t CollectLevel = 0;
-  if (Status S = decodeInit(InitFrame->Payload, Source, Opts, &CollectLevel);
-      !S) {
-    (void)Sender.send(FrameType::Error, S.str());
-    return 1;
-  }
-  DiagnosticEngine Diags;
-  std::unique_ptr<Program> Prog = parseAndAnalyze(Source, Diags);
-  if (!Prog) {
-    (void)Sender.send(FrameType::Error,
-                      "worker cannot parse program: " + Diags.str());
-    return 1;
-  }
-
-  SessionResult R = serveSession(InFd, Sender, *Prog, Opts, CollectLevel);
-  return R.Clean ? 0 : 1;
+  // stdin and stdout are the same socket; the session reads and writes
+  // it through fd 0.
+  return serveConnection(STDIN_FILENO, /*Cache=*/nullptr).Clean ? 0 : 1;
 }

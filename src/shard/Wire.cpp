@@ -1,4 +1,4 @@
-//===- Wire.cpp - The anek-shard-v1 framed pipe protocol --------------------===//
+//===- Wire.cpp - The anek-shard-v2 framed stream protocol ------------------===//
 //
 // Part of the ANEK reproduction. See README.md.
 //
@@ -40,7 +40,7 @@ uint64_t effectiveCap(uint64_t MaxPayload) {
 }
 
 /// Validates a decoded header. \p Available is the payload byte count
-/// actually present (the in-memory path); the pipe path passes the
+/// actually present (the in-memory path); the stream path passes the
 /// declared length through after the cap check and validates the checksum
 /// once the payload has been read.
 Status checkHeader(uint32_t Magic, uint16_t Version, uint16_t RawType,
@@ -91,7 +91,7 @@ Status readFullWithin(int Fd, void *Buffer, size_t Size,
     }
     if (N == 0)
       return Status::error(ErrorCode::WorkerLost,
-                           "pipe closed mid-frame (peer died)");
+                           "stream closed mid-frame (peer died)");
     if (errno == EINTR)
       continue;
     return Status::error(ErrorCode::Internal,

@@ -1,4 +1,4 @@
-//===- Wire.h - The anek-shard-v1 framed pipe protocol -----------*- C++ -*-===//
+//===- Wire.h - The anek-shard-v2 framed stream protocol ---------*- C++ -*-===//
 //
 // Part of the ANEK reproduction. See README.md.
 //
@@ -6,32 +6,38 @@
 ///
 /// \file
 /// The coordinator <-> worker protocol of the sharded execution tier
-/// (DESIGN.md, "Sharded execution and failure model"). A connection is a
-/// pair of pipes carrying *frames*:
+/// (DESIGN.md, "Sharded execution and failure model"). A connection is
+/// one stream socket — a socketpair to a spawned `anek --worker` child or
+/// a TCP/Unix connection to an `anek workerd` daemon — carrying *frames*:
 ///
 ///   header  u32 magic | u16 version | u16 type | u64 payload-len | u64 fnv
 ///   payload payload-len bytes
 ///
 /// and a session is:
 ///
-///   coordinator -> worker   Init      source text + algorithm options
-///                                     + telemetry collection level
-///   (socket sessions open with an Init-by-digest handshake instead:
-///    InitDigest carries the fnv1a64 of the Init payload the coordinator
-///    would send; a daemon that already holds that program answers
-///    InitAck straight away, otherwise InitNeeded asks for the full Init
-///    — so re-connects to a persistent worker daemon ship 32 bytes, not
-///    the whole program, and a stale daemon can never serve an edited
-///    program by accident because the digest is the content.)
-///   coordinator -> worker   Task      decl indices + summary snapshot
-///                                     + dispatch identity (parent flow
-///                                     id, wave ordinal, dispatch clock)
-///   worker -> coordinator   Heartbeat every ~200ms while a task runs
-///   worker -> coordinator   Telemetry trace spans + metrics deltas the
-///                                     task produced (collection on only)
-///   worker -> coordinator   Result    sealed outcomes blob
-///   worker -> coordinator   Error     message (structural failure)
-///   coordinator -> worker   Shutdown  drain and exit
+///   coordinator -> worker   InitDigest fnv1a64 of the Init payload
+///   worker -> coordinator   InitAck    program resident: send Tasks
+///                           InitNeeded unknown digest: send Init
+///   coordinator -> worker   Init       source text + algorithm options
+///                                      + telemetry collection level
+///                                      (only after InitNeeded)
+///   worker -> coordinator   InitAck    program parsed: send Tasks
+///
+///   A daemon that already holds the program skips the Init, so
+///   re-connects to a persistent worker daemon ship 32 bytes, not the
+///   whole program, and a stale daemon can never serve an edited program
+///   by accident because the digest is the content. A freshly spawned
+///   child holds nothing, so it always answers InitNeeded.
+///
+///   coordinator -> worker   Task       decl indices + summary snapshot
+///                                      + dispatch identity (parent flow
+///                                      id, wave ordinal, dispatch clock)
+///   worker -> coordinator   Heartbeat  every ~200ms while a task runs
+///   worker -> coordinator   Telemetry  trace spans + metrics deltas the
+///                                      task produced (collection on only)
+///   worker -> coordinator   Result     sealed outcomes blob
+///   worker -> coordinator   Error      message (structural failure)
+///   coordinator -> worker   Shutdown   drain and exit
 ///
 /// Decoding is defensive end to end: a truncated header, wrong magic or
 /// version, an oversized declared length, or a checksum mismatch all come
@@ -93,9 +99,7 @@ enum class FrameType : uint16_t {
   Shutdown = 5,
   Error = 6,
   Telemetry = 7,
-  // Socket-session handshake (see the file comment). Pipe sessions keep
-  // the bare Init — their worker was just spawned, so it can never
-  // already hold the program.
+  // Session handshake (see the file comment); every session opens with it.
   InitDigest = 8, ///< coordinator -> daemon: fnv1a64 of the Init payload
   InitNeeded = 9, ///< daemon -> coordinator: unknown digest, send Init
   InitAck = 10,   ///< daemon -> coordinator: program resident, send Tasks
@@ -121,7 +125,7 @@ std::string encodeFrame(FrameType Type, std::string_view Payload,
                         uint16_t Version);
 
 /// Decodes one complete frame from \p Bytes (tests and fuzz-style corrupt
-/// suites; the pipe path below shares the same validation). Errors:
+/// suites; the stream path below shares the same validation). Errors:
 /// truncated header, bad magic, unsupported version, unknown type,
 /// payload length over the cap or disagreeing with the bytes present,
 /// checksum mismatch. \p MaxPayload = 0 means the MaxFramePayload

@@ -6,14 +6,8 @@
 
 #include "shard/WorkerDaemon.h"
 
-#include "infer/AnekInfer.h"
-#include "lang/Sema.h"
-#include "shard/ShardWorker.h"
-#include "shard/Wire.h"
-#include "support/Diagnostics.h"
 #include "support/Subprocess.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -27,15 +21,6 @@
 using namespace anek;
 using namespace anek::shard;
 
-/// One decoded, parsed program kept resident across sessions. Immutable
-/// once built; sessions share it read-only (analysis state is
-/// per-engine).
-struct WorkerDaemon::Resident {
-  std::unique_ptr<Program> Prog;
-  InferOptions Opts;
-  uint8_t CollectLevel = 0;
-};
-
 struct WorkerDaemon::Session {
   int Fd = -1;
   std::thread Thread;
@@ -43,7 +28,7 @@ struct WorkerDaemon::Session {
 };
 
 WorkerDaemon::WorkerDaemon(WorkerDaemonOptions Opts)
-    : Opts(std::move(Opts)) {}
+    : Opts(std::move(Opts)), Programs(this->Opts.MaxResidentPrograms) {}
 
 WorkerDaemon::~WorkerDaemon() { stop(); }
 
@@ -95,30 +80,14 @@ void WorkerDaemon::stop() {
 }
 
 WorkerDaemonStats WorkerDaemon::stats() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Stats;
-}
-
-std::shared_ptr<WorkerDaemon::Resident>
-WorkerDaemon::lookupResident(uint64_t Digest) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  for (auto &[D, Entry] : Residents)
-    if (D == Digest)
-      return Entry;
-  return nullptr;
-}
-
-void WorkerDaemon::storeResident(uint64_t Digest,
-                                 std::shared_ptr<Resident> Entry) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  for (auto &[D, E] : Residents)
-    if (D == Digest) {
-      E = std::move(Entry); // A concurrent miss raced us; either wins.
-      return;
-    }
-  if (Residents.size() >= Opts.MaxResidentPrograms && !Residents.empty())
-    Residents.erase(Residents.begin()); // FIFO: evict the oldest.
-  Residents.emplace_back(Digest, std::move(Entry));
+  WorkerDaemonStats Out;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Out = Stats;
+  }
+  Out.DigestHits = Programs.hits();
+  Out.DigestMisses = Programs.misses();
+  return Out;
 }
 
 void WorkerDaemon::acceptLoop() {
@@ -165,84 +134,14 @@ void WorkerDaemon::acceptLoop() {
 }
 
 void WorkerDaemon::runSession(Session &S) {
-  FrameSender Sender(S.Fd);
-  auto Reject = [&](const std::string &Why) {
-    if (!Why.empty())
-      (void)Sender.send(FrameType::Error, Why);
-    ::shutdown(S.Fd, SHUT_RDWR);
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++Stats.SessionsRejected;
-  };
-
-  // Handshake. A frame with the wrong protocol version fails the decoder
-  // right here; dropping the connection without ceremony is the correct
-  // answer to a peer whose bytes we cannot even frame.
-  Expected<Frame> First =
-      readFrame(S.Fd, Opts.IdleTimeoutSeconds, Opts.MaxFrameBytes);
-  if (!First)
-    return Reject(First.status().code() == ErrorCode::InvalidArgument
-                      ? First.status().str()
-                      : std::string());
-
-  std::shared_ptr<Resident> Entry;
-  if (First->Type == FrameType::InitDigest) {
-    uint64_t Digest = 0;
-    if (Status D = decodeInitDigest(First->Payload, Digest); !D)
-      return Reject(D.str());
-    Entry = lookupResident(Digest);
-    if (Entry) {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      ++Stats.DigestHits;
-    } else {
-      {
-        std::lock_guard<std::mutex> Lock(Mutex);
-        ++Stats.DigestMisses;
-      }
-      if (!Sender.send(FrameType::InitNeeded, {}))
-        return Reject(std::string());
-      First = readFrame(S.Fd, Opts.IdleTimeoutSeconds, Opts.MaxFrameBytes);
-      if (!First)
-        return Reject(std::string());
-      if (First->Type != FrameType::Init)
-        return Reject(std::string("expected init frame, got ") +
-                      frameTypeName(First->Type));
-    }
-  } else if (First->Type != FrameType::Init) {
-    return Reject(std::string("expected init-digest or init frame, got ") +
-                  frameTypeName(First->Type));
-  }
-
-  if (!Entry) {
-    // Full Init path: decode, parse, and make the program resident under
-    // the digest of the exact bytes received — the coordinator computed
-    // its digest over the same bytes, so hit means identical.
-    auto Fresh = std::make_shared<Resident>();
-    std::string Source;
-    if (Status D = decodeInit(First->Payload, Source, Fresh->Opts,
-                              &Fresh->CollectLevel);
-        !D)
-      return Reject(D.str());
-    DiagnosticEngine Diags;
-    Fresh->Prog = parseAndAnalyze(Source, Diags);
-    if (!Fresh->Prog)
-      return Reject("workerd cannot parse program: " + Diags.str());
-    // Daemon sessions are leaves exactly like pipe workers.
-    Fresh->Opts.ShardExec = nullptr;
-    Fresh->Opts.Cache = nullptr;
-    storeResident(initDigest(First->Payload), Fresh);
-    Entry = std::move(Fresh);
-  }
-
-  if (!Sender.send(FrameType::InitAck, {}))
-    return Reject(std::string());
-
   SessionLimits Limits;
   Limits.IdleTimeoutSeconds = Opts.IdleTimeoutSeconds;
   Limits.MaxFrameBytes = Opts.MaxFrameBytes;
-  SessionResult R = serveSession(S.Fd, Sender, *Entry->Prog, Entry->Opts,
-                                 Entry->CollectLevel, Limits);
+  SessionResult R = serveConnection(S.Fd, &Programs, Limits);
   std::lock_guard<std::mutex> Lock(Mutex);
   Stats.TasksServed += R.TasksServed;
+  if (R.Rejected)
+    ++Stats.SessionsRejected;
 }
 
 // --- runWorkerDaemon -----------------------------------------------------

@@ -6,14 +6,16 @@
 ///
 /// \file
 /// The persistent worker daemon of the networked shard tier (DESIGN.md,
-/// "Sharded execution and failure model"). Where a pipe worker is born
-/// per coordinator and dies with it, a daemon outlives both: it listens
+/// "Sharded execution and failure model"). Where a local worker is born
+/// per session and dies with it, a daemon outlives both: it listens
 /// on a socket (TCP or Unix-domain), serves any number of coordinator
 /// sessions — concurrently, one thread per connection — and returns to
 /// accept when a coordinator disconnects, however rudely.
 ///
-/// The point of persistence is the resident program cache. A session
-/// opens with the Init-by-digest handshake (Wire.h): the coordinator
+/// The point of persistence is the resident program cache. Each session
+/// is the same serveConnection a local worker runs (ShardWorker.h), given
+/// the daemon's ProgramCache. It opens with the Init-by-digest handshake
+/// (Wire.h): the coordinator
 /// sends the fnv1a64 of its Init payload; if the daemon already holds
 /// the decoded, parsed program under that digest it answers InitAck
 /// immediately and the session skips shipping — and re-parsing — the
@@ -36,6 +38,7 @@
 #ifndef ANEK_SHARD_WORKERDAEMON_H
 #define ANEK_SHARD_WORKERDAEMON_H
 
+#include "shard/ShardWorker.h"
 #include "support/Socket.h"
 #include "support/Status.h"
 
@@ -99,23 +102,19 @@ public:
   WorkerDaemonStats stats() const;
 
 private:
-  struct Resident;
   struct Session;
 
   void acceptLoop();
   void runSession(Session &S);
-  /// Digest lookup / insertion with FIFO eviction at the cap.
-  std::shared_ptr<Resident> lookupResident(uint64_t Digest);
-  void storeResident(uint64_t Digest, std::shared_ptr<Resident> Entry);
 
   WorkerDaemonOptions Opts;
   sock::ListenSocket Listener;
   std::thread Acceptor;
   bool Started = false;
+  ProgramCache Programs;
 
-  mutable std::mutex Mutex; ///< Guards Sessions, Residents, Order, Stats.
+  mutable std::mutex Mutex; ///< Guards Sessions and Stats.
   std::vector<std::unique_ptr<Session>> Sessions;
-  std::vector<std::pair<uint64_t, std::shared_ptr<Resident>>> Residents;
   WorkerDaemonStats Stats;
   bool Stopping = false;
 };

@@ -75,26 +75,28 @@ constexpr std::array<FaultInfo, NumFaultKinds> FaultTable = {{
      "the resource governor observes a synthetic allocation spike that "
      "blows any memory budget"},
     {"worker-crash",
-     "the shard coordinator SIGKILLs a worker right after dispatch "
-     "(crash-detection probe; re-dispatch recovers)"},
+     "the shard coordinator SIGKILLs a local worker (or resets a remote "
+     "session) right after dispatch (crash-detection probe; re-dispatch "
+     "recovers)"},
     {"worker-hang",
-     "a dispatched shard worker is SIGSTOPped so its heartbeat goes "
-     "silent (hang-detection probe; the deadline kills and respawns it)"},
+     "a dispatched shard worker's reads are blackholed so its heartbeat "
+     "goes silent (hang-detection probe; the deadline drops the session)"},
     {"wire-corrupt",
      "a received shard-result frame has a byte flipped so its checksum "
      "fails (corrupt-frame probe; the worker is recycled)"},
     {"net-refuse",
-     "a socket transport's connect attempt is refused before reaching "
-     "the daemon (refusal probe; the ladder falls back or retries)"},
+     "a shard worker session is refused before it connects or spawns "
+     "(refusal probe; costs one attempt)"},
     {"net-reset-midframe",
-     "a socket transport hard-resets (RST) halfway through writing a "
+     "a shard worker session hard-resets (RST) halfway through writing a "
      "frame (torn-connection probe; costs one attempt)"},
     {"net-stall",
-     "a socket transport goes silent mid-read so the heartbeat deadline "
-     "trips (stall probe; the session is dropped and re-dispatched)"},
+     "a shard worker session goes silent mid-read so the heartbeat "
+     "deadline trips (stall probe; the session is dropped and "
+     "re-dispatched)"},
     {"net-handshake-skew",
      "the Init-by-digest handshake is stamped with the wrong protocol "
-     "version so the daemon rejects the session (version-mismatch probe)"},
+     "version so the worker rejects the session (version-mismatch probe)"},
 }};
 static_assert(FaultTable.size() == NumFaultKinds,
               "every FaultKind needs a name and a one-line description");

@@ -32,20 +32,21 @@
 ///                   budget is exhausted (exercises retry/backoff)
 ///   mem-spike       the resource governor observes a synthetic
 ///                   allocation spike that blows any memory budget
-///   worker-crash    the shard coordinator SIGKILLs a worker right after
+///   worker-crash    the shard coordinator SIGKILLs a local worker (or
+///                   hard-resets a remote session) right after
 ///                   dispatching a shard to it (crash-detection probe)
-///   worker-hang     a dispatched worker is SIGSTOPped so its heartbeat
-///                   goes silent (hang-detection probe)
+///   worker-hang     a dispatched worker session's reads are blackholed
+///                   so its heartbeat goes silent (hang-detection probe)
 ///   wire-corrupt    a received shard-result frame has a byte flipped, so
 ///                   its checksum fails (corrupt-frame probe)
-///   net-refuse      a socket transport's connect attempt is refused
-///                   before it reaches the daemon (refusal probe)
-///   net-reset-midframe  a socket transport hard-resets (RST) halfway
+///   net-refuse      a worker session is refused before it connects or
+///                   spawns (refusal probe)
+///   net-reset-midframe  a worker session hard-resets (RST) halfway
 ///                   through writing a frame (torn-connection probe)
-///   net-stall       a socket transport goes silent mid-read so the
+///   net-stall       a worker session goes silent mid-read so the
 ///                   heartbeat deadline must trip (stall probe)
 ///   net-handshake-skew  the Init-by-digest handshake is stamped with the
-///                   wrong protocol version, so the daemon rejects the
+///                   wrong protocol version, so the worker rejects the
 ///                   session (version-mismatch probe)
 ///
 //===----------------------------------------------------------------------===//

@@ -1,4 +1,4 @@
-//===- Subprocess.cpp - Child processes and EINTR-safe pipe I/O ------------===//
+//===- Subprocess.cpp - Child processes and EINTR-safe stream I/O ----------===//
 
 #include "support/Subprocess.h"
 
@@ -8,8 +8,8 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <fcntl.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -27,7 +27,7 @@ Status subprocess::readFull(int Fd, void *Buffer, size_t Size) {
     }
     if (N == 0)
       return Status::error(ErrorCode::WorkerLost,
-                           formatStr("pipe closed after %zu of %zu bytes",
+                           formatStr("stream closed after %zu of %zu bytes",
                                      Done, Size));
     if (errno == EINTR)
       continue; // A signal is not a failure; resume the read.
@@ -50,7 +50,7 @@ Status subprocess::writeFull(int Fd, const void *Buffer, size_t Size) {
       continue;
     if (errno == EPIPE)
       return Status::error(ErrorCode::WorkerLost,
-                           formatStr("pipe peer gone after %zu of %zu bytes",
+                           formatStr("stream peer gone after %zu of %zu bytes",
                                      Done, Size));
     return Status::error(ErrorCode::Internal,
                          formatStr("write failed: %s", std::strerror(errno)));
@@ -75,7 +75,7 @@ Status subprocess::waitReadable(int Fd, double TimeoutSeconds) {
           std::chrono::duration<double>(Expiry - Clock::now()).count();
       if (Remaining <= 0.0)
         return Status::error(ErrorCode::DeadlineExceeded,
-                             "timed out waiting for pipe data");
+                             "timed out waiting for stream data");
       // Round up so a sub-millisecond remainder still polls once.
       TimeoutMs = static_cast<int>(Remaining * 1000.0) + 1;
     }
@@ -93,11 +93,11 @@ Status subprocess::waitReadable(int Fd, double TimeoutSeconds) {
     }
     if (N == 0)
       return Status::error(ErrorCode::DeadlineExceeded,
-                           "timed out waiting for pipe data");
+                           "timed out waiting for stream data");
     if (P.revents & POLLIN)
       return Status::ok(); // Data (or EOF readable as 0 bytes) is ready.
     if (P.revents & (POLLHUP | POLLERR | POLLNVAL))
-      return Status::error(ErrorCode::WorkerLost, "pipe peer hung up");
+      return Status::error(ErrorCode::WorkerLost, "stream peer hung up");
   }
 }
 
@@ -130,7 +130,7 @@ ChildProcess::~ChildProcess() {
     kill(SIGKILL);
     wait();
   }
-  closePipes();
+  closeFd();
 }
 
 ChildProcess::ChildProcess(ChildProcess &&Other) noexcept { *this = std::move(Other); }
@@ -142,10 +142,9 @@ ChildProcess &ChildProcess::operator=(ChildProcess &&Other) noexcept {
     kill(SIGKILL);
     wait();
   }
-  closePipes();
+  closeFd();
   Pid = Other.Pid;
-  ReadFd = Other.ReadFd;
-  WriteFd = Other.WriteFd;
+  Fd = Other.Fd;
   LastExit = Other.LastExit;
   Reaped = Other.Reaped;
   Other.reset();
@@ -154,8 +153,7 @@ ChildProcess &ChildProcess::operator=(ChildProcess &&Other) noexcept {
 
 void ChildProcess::reset() {
   Pid = -1;
-  ReadFd = -1;
-  WriteFd = -1;
+  Fd = -1;
   LastExit = ExitStatus();
   Reaped = false;
 }
@@ -167,17 +165,14 @@ Status ChildProcess::spawn(const std::vector<std::string> &Argv) {
     return Status::error(ErrorCode::InvalidArgument,
                          "child already running");
 
-  int ToChild[2] = {-1, -1};  // Coordinator writes [1], child stdin [0].
-  int FromChild[2] = {-1, -1};// Child stdout [1], coordinator reads [0].
-  if (::pipe(ToChild) != 0)
+  // SOCK_CLOEXEC sets close-on-exec atomically with creation: a sibling
+  // spawned by another thread between socketpair() and our fork can never
+  // carry these ends across its exec, so this child's EOF stays prompt.
+  int Ends[2] = {-1, -1}; // Parent keeps [0], the child gets [1].
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, Ends) != 0)
     return Status::error(ErrorCode::Internal,
-                         formatStr("pipe failed: %s", std::strerror(errno)));
-  if (::pipe(FromChild) != 0) {
-    ::close(ToChild[0]);
-    ::close(ToChild[1]);
-    return Status::error(ErrorCode::Internal,
-                         formatStr("pipe failed: %s", std::strerror(errno)));
-  }
+                         formatStr("socketpair failed: %s",
+                                   std::strerror(errno)));
 
   std::vector<char *> Args;
   Args.reserve(Argv.size() + 1);
@@ -187,32 +182,24 @@ Status ChildProcess::spawn(const std::vector<std::string> &Argv) {
 
   pid_t Child = ::fork();
   if (Child < 0) {
-    for (int Fd : {ToChild[0], ToChild[1], FromChild[0], FromChild[1]})
-      ::close(Fd);
+    ::close(Ends[0]);
+    ::close(Ends[1]);
     return Status::error(ErrorCode::Internal,
                          formatStr("fork failed: %s", std::strerror(errno)));
   }
   if (Child == 0) {
     // Child: only async-signal-safe calls between fork and exec (the
-    // parent may be multi-threaded). stderr is deliberately inherited.
-    ::dup2(ToChild[0], STDIN_FILENO);
-    ::dup2(FromChild[1], STDOUT_FILENO);
-    for (int Fd : {ToChild[0], ToChild[1], FromChild[0], FromChild[1]})
-      ::close(Fd);
+    // parent may be multi-threaded). dup2 clears close-on-exec on the
+    // copies; both originals close at exec. stderr is inherited.
+    ::dup2(Ends[1], STDIN_FILENO);
+    ::dup2(Ends[1], STDOUT_FILENO);
     ::execv(Args[0], Args.data());
     ::_exit(127); // exec failed; the coordinator sees exit 127 = spawn loss.
   }
 
-  ::close(ToChild[0]);
-  ::close(FromChild[1]);
-  // Close-on-exec on the coordinator ends: a worker forked later must not
-  // inherit (and thereby hold open) a sibling's pipes, or that sibling's
-  // EOF-based crash detection would hang until every worker exited.
-  ::fcntl(ToChild[1], F_SETFD, FD_CLOEXEC);
-  ::fcntl(FromChild[0], F_SETFD, FD_CLOEXEC);
+  ::close(Ends[1]);
   Pid = Child;
-  WriteFd = ToChild[1];
-  ReadFd = FromChild[0];
+  Fd = Ends[0];
   LastExit = ExitStatus();
   Reaped = false;
   return Status::ok();
@@ -270,11 +257,8 @@ ExitStatus ChildProcess::wait() {
   }
 }
 
-void ChildProcess::closePipes() {
-  if (ReadFd >= 0)
-    ::close(ReadFd);
-  if (WriteFd >= 0)
-    ::close(WriteFd);
-  ReadFd = -1;
-  WriteFd = -1;
+void ChildProcess::closeFd() {
+  if (Fd >= 0)
+    ::close(Fd);
+  Fd = -1;
 }

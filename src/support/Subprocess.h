@@ -1,11 +1,11 @@
-//===- Subprocess.h - Child processes and EINTR-safe pipe I/O ----*- C++ -*-===//
+//===- Subprocess.h - Child processes and EINTR-safe stream I/O --*- C++ -*-===//
 //
 // Part of the ANEK reproduction. See README.md.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Process and pipe plumbing for the sharded execution tier (DESIGN.md,
+/// Process and stream plumbing for the sharded execution tier (DESIGN.md,
 /// "Sharded execution and failure model"). Two things live here:
 ///
 ///  - EINTR-safe blocking I/O: readFull/writeFull/waitReadable retry
@@ -13,10 +13,11 @@
 ///    profiler's SIGPROF, the soak harness's own chaos signals) can never
 ///    surface as a spurious short read or a phantom worker failure.
 ///
-///  - ChildProcess: fork/exec with stdin/stdout pipes, non-blocking
-///    liveness polls and EINTR-safe reaping. Every exit path (normal,
-///    signalled, killed by the coordinator) funnels into one ExitStatus
-///    so callers classify worker loss uniformly.
+///  - ChildProcess: fork/exec with one Unix-domain stream socket as the
+///    child's stdin and stdout, non-blocking liveness polls and
+///    EINTR-safe reaping. Every exit path (normal, signalled, killed by
+///    the coordinator) funnels into one ExitStatus so callers classify
+///    worker loss uniformly.
 ///
 /// All functions return Status instead of raising: a dead peer is an
 /// expected event in the shard failure model, not an exception.
@@ -38,8 +39,8 @@ namespace subprocess {
 
 /// Reads exactly \p Size bytes from \p Fd, retrying EINTR and short
 /// reads. Errors: WorkerLost on EOF before Size bytes (the peer closed
-/// the pipe — in the shard protocol that means the worker died), Internal
-/// on any other read failure.
+/// the stream — in the shard protocol that means the worker died),
+/// Internal on any other read failure.
 Status readFull(int Fd, void *Buffer, size_t Size);
 
 /// Writes exactly \p Size bytes to \p Fd, retrying EINTR and short
@@ -74,9 +75,10 @@ struct ExitStatus {
   std::string str() const;
 };
 
-/// A fork/exec'd child with pipes to its stdin and stdout. Movable, not
-/// copyable; the destructor kills (SIGKILL) and reaps anything still
-/// running so a coordinator can never leak zombies.
+/// A fork/exec'd child whose stdin and stdout are one end of a
+/// socketpair; the parent keeps the other end. Movable, not copyable; the
+/// destructor kills (SIGKILL) and reaps anything still running so a
+/// coordinator can never leak zombies.
 class ChildProcess {
 public:
   ChildProcess() = default;
@@ -86,16 +88,18 @@ public:
   ChildProcess(const ChildProcess &) = delete;
   ChildProcess &operator=(const ChildProcess &) = delete;
 
-  /// Spawns \p Argv (argv[0] = executable path). The child's stdin reads
-  /// from writeFd()'s pipe and its stdout feeds readFd(); stderr is
-  /// inherited so worker diagnostics land on the coordinator's stderr.
+  /// Spawns \p Argv (argv[0] = executable path) on one end of a
+  /// socketpair, dup'ed onto the child's stdin and stdout; fd() is the
+  /// other end. stderr is inherited so worker diagnostics land on the
+  /// coordinator's stderr. Both ends are created close-on-exec, so a
+  /// child spawned concurrently from another thread can never inherit
+  /// (and hold open) this child's stream.
   Status spawn(const std::vector<std::string> &Argv);
 
   bool running() const { return Pid > 0; }
   pid_t pid() const { return Pid; }
-  /// Coordinator-side ends: read worker output / write worker input.
-  int readFd() const { return ReadFd; }
-  int writeFd() const { return WriteFd; }
+  /// The parent's end of the child's stdin/stdout socket.
+  int fd() const { return Fd; }
 
   /// Sends \p Signal; no-op when not running.
   void kill(int Signal);
@@ -108,15 +112,14 @@ public:
   /// last known status when already reaped.
   ExitStatus wait();
 
-  /// Closes both pipe ends (signals EOF to a well-behaved child).
-  void closePipes();
+  /// Closes the parent's end (signals EOF to a well-behaved child).
+  void closeFd();
 
 private:
   void reset();
 
   pid_t Pid = -1;
-  int ReadFd = -1;
-  int WriteFd = -1;
+  int Fd = -1;
   ExitStatus LastExit;
   bool Reaped = false;
 };

@@ -568,22 +568,23 @@ std::vector<EventRecord> anek::telemetry::snapshotEvents() {
   return Out;
 }
 
+size_t anek::telemetry::threadEventMark() {
+  ThreadBuffer &Buf = localBuffer();
+  std::lock_guard<std::mutex> Lock(Buf.Mutex);
+  return Buf.Events.size();
+}
+
 std::vector<EventRecord>
-anek::telemetry::collectEventsSince(std::vector<size_t> &Marks) {
+anek::telemetry::collectThreadEventsSince(size_t Mark) {
   std::vector<EventRecord> Out;
-  TraceRegistry &R = registry();
-  std::lock_guard<std::mutex> RegistryLock(R.Mutex);
-  if (Marks.size() < R.Buffers.size())
-    Marks.resize(R.Buffers.size(), 0);
-  for (size_t I = 0; I != R.Buffers.size(); ++I) {
-    ThreadBuffer &Buf = *R.Buffers[I];
-    std::lock_guard<std::mutex> BufLock(Buf.Mutex);
-    // A resetTrace between calls shrinks the buffer below the cursor;
-    // clamp instead of reading past the end.
-    size_t From = std::min(Marks[I], Buf.Events.size());
-    for (size_t E = From; E != Buf.Events.size(); ++E)
+  ThreadBuffer &Buf = localBuffer();
+  {
+    std::lock_guard<std::mutex> Lock(Buf.Mutex);
+    // A resetTrace since the mark shrinks the buffer below it; clamp
+    // instead of reading past the end.
+    for (size_t E = std::min(Mark, Buf.Events.size()); E != Buf.Events.size();
+         ++E)
       Out.push_back(recordFromEvent(Buf.Events[E]));
-    Marks[I] = Buf.Events.size();
   }
   sortByTime(Out);
   return Out;

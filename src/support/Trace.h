@@ -209,13 +209,17 @@ struct EventRecord {
 /// and time window.
 std::vector<EventRecord> snapshotEvents();
 
-/// Drains the local events appended since the cursors in \p Marks (one
-/// cursor per internal thread buffer; pass the same vector across calls,
-/// starting empty) and advances the cursors. The returned batch is sorted
-/// by timestamp. This is the worker side of telemetry shipping: each Task
-/// ships exactly the events it produced, and the local buffers keep
-/// everything for the worker's own --trace artifact.
-std::vector<EventRecord> collectEventsSince(std::vector<size_t> &Marks);
+/// The calling thread's event cursor: the events it records after this
+/// call are exactly what collectThreadEventsSince(mark) returns.
+size_t threadEventMark();
+
+/// Copies the events the calling thread recorded since \p Mark (from
+/// threadEventMark), sorted by timestamp. This is the worker side of
+/// telemetry shipping: a task runs on its session's thread, so it ships
+/// exactly the events it produced — never another session's, never the
+/// ones recorded before it — and the local buffers keep everything for
+/// the worker's own --trace artifact.
+std::vector<EventRecord> collectThreadEventsSince(size_t Mark);
 
 /// Injects externally collected events under process lane \p Pid with
 /// display name \p ProcessName, shifting every timestamp by \p ShiftUs

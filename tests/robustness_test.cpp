@@ -529,7 +529,7 @@ TEST_F(RobustnessTest, NewFaultKindsActivateAndClassify) {
 }
 
 TEST_F(RobustnessTest, ShardFaultKindsClassifyAsWorkerLost) {
-  // The worker-chaos kinds — pipe-era and network alike — all surface as
+  // The worker-chaos kinds — process and network alike — all surface as
   // a lost worker: the retryable class the shard coordinator
   // re-dispatches under.
   EXPECT_EQ(faults::injectedError(FaultKind::WorkerCrash, "s0").code(),

@@ -1,12 +1,13 @@
 //===- shard_test.cpp - Crash-tolerant shard worker tier -------------------===//
 //
 // The sharded-execution suite (DESIGN.md, "Sharded execution and failure
-// model"): the anek-shard-v1 payload codecs must round-trip, real worker
+// model"): the anek-shard-v2 payload codecs must round-trip, real worker
 // processes must produce output byte-identical to in-process -j1, and the
-// failure paths — SIGKILLed workers, SIGSTOPped (hung) workers, corrupted
-// result frames — must cost re-dispatch attempts, never results. A shard
-// that keeps killing workers must quarantine to in-process execution and
-// surface as degraded(shard-quarantine) through the serving layer.
+// failure paths — SIGKILLed workers, hung (blackholed) sessions,
+// corrupted result frames, network faults — must cost re-dispatch
+// attempts, never results. A shard that keeps losing workers must
+// quarantine to in-process execution and surface as
+// degraded(shard-quarantine) through the serving layer.
 //
 // These tests fork/exec the real `anek` binary as the worker process
 // (ANEK_TOOL_PATH), so the wire protocol, heartbeats, and kill/reap paths
@@ -21,16 +22,20 @@
 #include "serve/BatchRunner.h"
 #include "serve/Serve.h"
 #include "shard/ShardCoordinator.h"
-#include "shard/Transport.h"
 #include "shard/Wire.h"
 #include "shard/WorkerDaemon.h"
+#include "shard/WorkerSession.h"
 #include "support/FaultInject.h"
 #include "support/Socket.h"
 #include "support/Subprocess.h"
 
 #include <chrono>
+#include <cstdio>
+#include <dirent.h>
 #include <gtest/gtest.h>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -499,9 +504,9 @@ TEST_F(ShardTest, KilledWorkerIsRedispatchedByteIdentically) {
 }
 
 TEST_F(ShardTest, HungWorkerTripsHeartbeatDeadlineAndIsRedispatched) {
-  // The worker is SIGSTOPped, so its heartbeats go silent; the
-  // coordinator must declare it hung within the deadline, SIGKILL it,
-  // and re-dispatch — not block forever.
+  // The session's reads are blackholed, so its heartbeats go silent; the
+  // coordinator must declare it hung within the deadline, kill the
+  // worker, and re-dispatch — not block forever.
   const std::string Source = fileProtocolSource();
   std::string Baseline = baselineOutput(Source);
 
@@ -693,7 +698,7 @@ TEST_F(ShardTest, BatchSurfacesQuarantineAsDegraded) {
 }
 
 //===----------------------------------------------------------------------===//
-// Socket transport, worker daemons, and the Init-by-digest handshake
+// Worker sessions, worker daemons, and the Init-by-digest handshake
 //===----------------------------------------------------------------------===//
 
 /// An in-process `anek workerd` daemon on a kernel-assigned loopback
@@ -723,10 +728,10 @@ TEST_F(ShardTest, SocketHandshakeDigestHitMissAndStaleAfterEdit) {
 
   // Cold daemon: the digest misses, the full Init payload ships.
   {
-    shard::SocketTransport T(D.Address, Init, 5.0, 0, "");
-    Status Up = T.open();
+    shard::WorkerSession T(Init, 5.0, 0, "");
+    Status Up = T.open(D.Address, {});
     ASSERT_TRUE(Up.isOk()) << Up.str();
-    EXPECT_STREQ(T.kind(), "socket");
+    EXPECT_TRUE(T.remote());
   }
   EXPECT_EQ(D.Daemon.stats().DigestMisses, 1u);
   EXPECT_EQ(D.Daemon.stats().DigestHits, 0u);
@@ -734,8 +739,8 @@ TEST_F(ShardTest, SocketHandshakeDigestHitMissAndStaleAfterEdit) {
   // Reconnect with the identical program: digest hit, nothing re-shipped
   // and nothing re-parsed.
   {
-    shard::SocketTransport T(D.Address, Init, 5.0, 0, "");
-    Status Up = T.open();
+    shard::WorkerSession T(Init, 5.0, 0, "");
+    Status Up = T.open(D.Address, {});
     ASSERT_TRUE(Up.isOk()) << Up.str();
   }
   EXPECT_EQ(D.Daemon.stats().DigestHits, 1u);
@@ -748,8 +753,8 @@ TEST_F(ShardTest, SocketHandshakeDigestHitMissAndStaleAfterEdit) {
   const std::string EditedInit = shard::encodeInit(Edited, Opts, 0);
   EXPECT_NE(shard::initDigest(Init), shard::initDigest(EditedInit));
   {
-    shard::SocketTransport T(D.Address, EditedInit, 5.0, 0, "");
-    Status Up = T.open();
+    shard::WorkerSession T(EditedInit, 5.0, 0, "");
+    Status Up = T.open(D.Address, {});
     ASSERT_TRUE(Up.isOk()) << Up.str();
   }
   EXPECT_EQ(D.Daemon.stats().DigestMisses, 2u);
@@ -759,7 +764,7 @@ TEST_F(ShardTest, SocketHandshakeDigestHitMissAndStaleAfterEdit) {
 TEST_F(ShardTest, DaemonRejectsHandshakeVersionSkew) {
   ScopedDaemon D;
 
-  // Raw socket, no transport: a handshake frame stamped with a future
+  // Raw socket, no session: a handshake frame stamped with a future
   // protocol version must be refused by the frame decoder and the
   // session dropped — version negotiation is "same version or nothing".
   Expected<int> Fd = sock::connectTo(D.Address, 5.0);
@@ -785,23 +790,23 @@ TEST_F(ShardTest, DaemonRejectsHandshakeVersionSkew) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_EQ(D.Daemon.stats().SessionsRejected, 1u);
 
-  // The injected flavor: net-handshake-skew makes SocketTransport stamp
+  // The injected flavor: net-handshake-skew makes WorkerSession stamp
   // its own digest frame with the future version; the daemon's refusal
   // must classify as a transient lost worker, not a hard failure.
   faults::ScopedFault Skew(FaultKind::NetHandshakeSkew, "", 1);
   InferOptions Opts;
   Opts.Parallelism = 1;
-  shard::SocketTransport T(
-      D.Address, shard::encodeInit(fileProtocolSource(), Opts, 0), 5.0, 0,
-      "");
-  Status Up = T.open();
+  shard::WorkerSession T(shard::encodeInit(fileProtocolSource(), Opts, 0),
+                         5.0, 0, "");
+  Status Up = T.open(D.Address, {});
   ASSERT_FALSE(Up.isOk());
   EXPECT_EQ(Up.code(), ErrorCode::WorkerLost) << Up.str();
 }
 
 TEST_F(ShardTest, SocketShardedRunMatchesInProcessByteForByte) {
   // The acceptance oracle over TCP: every wave served by a live daemon,
-  // nothing spawned on the pipe rung, output byte-identical to -j1.
+  // no local worker spawned, output byte-identical to -j1. Two slots on
+  // one endpoint each open one session: no reconnects.
   ScopedDaemon D;
   const std::string Source = iteratorApiSource() + spreadsheetSource();
   shard::CoordinatorOptions Co = testCoordinatorOptions(2);
@@ -812,7 +817,7 @@ TEST_F(ShardTest, SocketShardedRunMatchesInProcessByteForByte) {
   EXPECT_EQ(Run.Stats.RemoteDispatches, Run.Stats.ShardsDispatched);
   EXPECT_EQ(Run.Stats.WorkersSpawned, 0u);
   EXPECT_EQ(Run.Stats.WorkersLost, 0u);
-  EXPECT_EQ(Run.Stats.EndpointsQuarantined, 0u);
+  EXPECT_EQ(Run.Stats.Reconnects, 0u);
   EXPECT_GE(D.Daemon.stats().TasksServed, Run.Stats.ShardsDispatched);
 }
 
@@ -821,78 +826,202 @@ TEST_F(ShardTest, NetFaultsAreTransientAndRedispatched) {
   const std::string Source = fileProtocolSource();
   const std::string Baseline = baselineOutput(Source);
 
-  // One refused connect: the slot retries, reconnects, and serves — a
-  // connection refusal is a lost worker, never a lost shard.
-  {
-    faults::ScopedFault Refuse(FaultKind::NetRefuse, "", 1);
-    shard::CoordinatorOptions Co = testCoordinatorOptions(2);
-    Co.Endpoints = {D.Address};
-    ShardRun Run = runSharded(Source, Co);
-    EXPECT_EQ(Run.Output, Baseline);
-    EXPECT_GE(Run.Stats.WorkersLost, 1u);
-    EXPECT_GE(Run.Stats.RemoteDispatches, 1u);
-    EXPECT_EQ(Run.Stats.EndpointsQuarantined, 0u);
-  }
-  // A hard RST halfway through a Task frame: same story, plus the
-  // reconnect is visible in the stats.
-  {
-    faults::ScopedFault Reset(FaultKind::NetResetMidframe, "", 1);
-    shard::CoordinatorOptions Co = testCoordinatorOptions(2);
-    Co.Endpoints = {D.Address};
-    ShardRun Run = runSharded(Source, Co);
-    EXPECT_EQ(Run.Output, Baseline);
-    EXPECT_GE(Run.Stats.WorkersLost, 1u);
-    EXPECT_GE(Run.Stats.Redispatches, 1u);
-    EXPECT_GE(Run.Stats.Reconnects, 1u);
-  }
-  // A read stall (packets stop arriving, connection stays up): the
-  // heartbeat deadline declares the session hung and re-dispatches.
-  {
-    faults::ScopedFault Stall(FaultKind::NetStall, "", 1);
-    shard::CoordinatorOptions Co = testCoordinatorOptions(2);
-    Co.Endpoints = {D.Address};
-    Co.HeartbeatTimeoutSeconds = 0.5;
-    ShardRun Run = runSharded(Source, Co);
-    EXPECT_EQ(Run.Output, Baseline);
-    EXPECT_GE(Run.Stats.WorkersLost, 1u);
-    EXPECT_GE(Run.Stats.Redispatches, 1u);
+  // Every session, local or remote, has the same control points.
+  const std::vector<std::string> Local, Remote = {D.Address};
+  for (const std::vector<std::string> *Endpoints : {&Local, &Remote}) {
+    SCOPED_TRACE(Endpoints->empty() ? "local session" : "remote session");
+    auto Options = [&] {
+      shard::CoordinatorOptions Co = testCoordinatorOptions(2);
+      Co.Endpoints = *Endpoints;
+      return Co;
+    };
+    // One refused open: the slot retries, reopens, and serves — a
+    // refusal is a lost worker, never a lost shard.
+    {
+      faults::ScopedFault Refuse(FaultKind::NetRefuse, "", 1);
+      ShardRun Run = runSharded(Source, Options());
+      EXPECT_EQ(Run.Output, Baseline);
+      EXPECT_GE(Run.Stats.WorkersLost, 1u);
+      EXPECT_EQ(Run.Stats.RemoteDispatches,
+                Endpoints->empty() ? 0u : Run.Stats.ShardsDispatched);
+      EXPECT_EQ(Run.Stats.ShardsQuarantined, 0u);
+    }
+    // A hard reset halfway through a Task frame: same story, plus the
+    // reopened session is visible in the stats.
+    {
+      faults::ScopedFault Reset(FaultKind::NetResetMidframe, "", 1);
+      ShardRun Run = runSharded(Source, Options());
+      EXPECT_EQ(Run.Output, Baseline);
+      EXPECT_GE(Run.Stats.WorkersLost, 1u);
+      EXPECT_GE(Run.Stats.Redispatches, 1u);
+      EXPECT_GE(Run.Stats.Reconnects, 1u);
+    }
+    // A read stall (frames stop arriving, the stream stays up): the
+    // heartbeat deadline declares the session hung and re-dispatches.
+    {
+      faults::ScopedFault Stall(FaultKind::NetStall, "", 1);
+      shard::CoordinatorOptions Co = Options();
+      Co.HeartbeatTimeoutSeconds = 0.5;
+      ShardRun Run = runSharded(Source, Co);
+      EXPECT_EQ(Run.Output, Baseline);
+      EXPECT_GE(Run.Stats.WorkersLost, 1u);
+      EXPECT_GE(Run.Stats.Redispatches, 1u);
+    }
+    // A skewed handshake: the worker rejects the session, the slot
+    // reopens.
+    {
+      faults::ScopedFault Skew(FaultKind::NetHandshakeSkew, "", 1);
+      ShardRun Run = runSharded(Source, Options());
+      EXPECT_EQ(Run.Output, Baseline);
+      EXPECT_GE(Run.Stats.WorkersLost, 1u);
+      EXPECT_EQ(Run.Stats.ShardsQuarantined, 0u);
+    }
   }
 }
 
-TEST_F(ShardTest, DeadEndpointQuarantinesAndFallsBackToPipeWorkers) {
-  // Nothing listens at the endpoint: after EndpointReconnectAttempts
-  // consecutive refusals the endpoint is quarantined for the run and the
-  // slots drop to the fork/exec rung — same bytes, local workers.
+TEST_F(ShardTest, DeadEndpointQuarantinesShardsInProcess) {
+  // Nothing listens at the endpoint: each shard dispatch pays
+  // QuarantineAfter refused connects under the default backoff, then
+  // runs in-process — same bytes, no local worker spawned.
+  using Clock = std::chrono::steady_clock;
+  auto SecondsSince = [](Clock::time_point Start) {
+    return std::chrono::duration<double>(Clock::now() - Start).count();
+  };
   const std::string Source = fileProtocolSource();
+  Clock::time_point Start = Clock::now();
+  const std::string Baseline = baselineOutput(Source);
+  const double BaselineSeconds = SecondsSince(Start);
   shard::CoordinatorOptions Co = testCoordinatorOptions(2);
+  Co.Retry = serve::RetryPolicy();
   Co.Endpoints = {std::string("unix:/tmp/anek-absent-") +
                   std::to_string(::getpid()) + ".sock"};
-  Co.EndpointReconnectAttempts = 2;
+  Start = Clock::now();
   ShardRun Run = runSharded(Source, Co);
-  EXPECT_EQ(Run.Output, baselineOutput(Source));
+  const double Seconds = SecondsSince(Start);
+  EXPECT_EQ(Run.Output, Baseline);
   EXPECT_EQ(Run.Stats.RemoteDispatches, 0u);
-  EXPECT_GE(Run.Stats.EndpointsQuarantined, 1u);
-  EXPECT_GE(Run.Stats.WorkersSpawned, 1u);
-  EXPECT_EQ(Run.Stats.ShardsQuarantined, 0u);
+  EXPECT_EQ(Run.Stats.WorkersSpawned, 0u);
+  EXPECT_GE(Run.Stats.ShardsQuarantined, 1u);
+  EXPECT_EQ(Run.Stats.WorkersLost,
+            Run.Stats.ShardsQuarantined * Co.QuarantineAfter);
+  // The price of not remembering a dead endpoint across dispatches.
+  std::printf("dead endpoint: %u shard quarantine(s), %u refused "
+              "connect(s), %.3f s for the run (in-process -j1: %.3f s)\n",
+              Run.Stats.ShardsQuarantined, Run.Stats.WorkersLost, Seconds,
+              BaselineSeconds);
 }
 
 TEST_F(ShardTest, AllRungsDeadStillCompletesViaShardQuarantine) {
-  // The bottom of the ladder: endpoints refuse, the "worker" binary
-  // exits instantly without speaking the protocol. The run must degrade
-  // through both rungs to in-process execution — terminal state
+  // The bottom of the ladder: the "worker" binary exits instantly
+  // without speaking the protocol, so no local session ever opens. The
+  // run must degrade to in-process execution — terminal state
   // degraded(shard-quarantine), never a wrong or truncated result.
   const std::string Source = fileProtocolSource();
   shard::CoordinatorOptions Co = testCoordinatorOptions(2);
-  Co.Endpoints = {std::string("unix:/tmp/anek-absent-") +
-                  std::to_string(::getpid()) + "-b.sock"};
-  Co.EndpointReconnectAttempts = 1;
   Co.QuarantineAfter = 2;
   Co.WorkerArgv = {ANEK_TOOL_PATH, "--not-a-worker-mode"};
   ShardRun Run = runSharded(Source, Co);
   EXPECT_EQ(Run.Output, baselineOutput(Source));
-  EXPECT_GE(Run.Stats.EndpointsQuarantined, 1u);
   EXPECT_GE(Run.Stats.ShardsQuarantined, 1u);
+  EXPECT_EQ(Run.Stats.ShardsDispatched, 0u);
   EXPECT_EQ(Run.Stats.RemoteDispatches, 0u);
+}
+
+/// The socket inodes process \p Pid holds, keyed by fd, read from
+/// /proc/<pid>/fd.
+std::map<int, unsigned long> socketInodes(const std::string &Pid) {
+  std::map<int, unsigned long> Out;
+  const std::string Dir = "/proc/" + Pid + "/fd";
+  DIR *D = ::opendir(Dir.c_str());
+  if (!D)
+    return Out;
+  while (dirent *E = ::readdir(D)) {
+    char Target[256];
+    ssize_t N = ::readlink((Dir + "/" + E->d_name).c_str(), Target,
+                           sizeof(Target) - 1);
+    if (N <= 0)
+      continue;
+    Target[N] = '\0';
+    unsigned long Inode = 0;
+    if (std::sscanf(Target, "socket:[%lu]", &Inode) == 1)
+      Out[std::atoi(E->d_name)] = Inode;
+  }
+  ::closedir(D);
+  return Out;
+}
+
+TEST_F(ShardTest, ConcurrentLocalSpawnsLeakNoSocketIntoSiblings) {
+  // Four threads spawn local sessions at once. A child that inherited a
+  // sibling's end of a socketpair across exec would hold that sibling's
+  // stream open, so the sibling's coordinator would see no EOF when its
+  // worker dies and wait out the heartbeat deadline instead. Every child
+  // must hold exactly its own session's socket.
+  InferOptions Opts;
+  Opts.Parallelism = 1;
+  const std::string Init = shard::encodeInit(fileProtocolSource(), Opts, 0);
+  constexpr unsigned Threads = 4, PerThread = 13;
+  std::vector<std::unique_ptr<shard::WorkerSession>> Sessions(Threads *
+                                                              PerThread);
+  std::vector<std::thread> Spawners;
+  for (unsigned T = 0; T != Threads; ++T)
+    Spawners.emplace_back([&, T] {
+      for (unsigned I = 0; I != PerThread; ++I) {
+        auto S = std::make_unique<shard::WorkerSession>(Init, 10.0, 0, "");
+        if (S->open("", workerArgv()))
+          Sessions[T * PerThread + I] = std::move(S);
+      }
+    });
+  for (std::thread &T : Spawners)
+    T.join();
+
+  // Every session end: the coordinator's (held by this process) and each
+  // child's (its stdin).
+  std::set<unsigned long> SessionInodes;
+  for (const auto &[Fd, Inode] : socketInodes("self"))
+    SessionInodes.insert(Inode);
+  std::vector<std::map<int, unsigned long>> Children;
+  for (const std::unique_ptr<shard::WorkerSession> &S : Sessions) {
+    ASSERT_TRUE(S != nullptr) << "a local session failed to open";
+    Children.push_back(socketInodes(std::to_string(S->pid())));
+    ASSERT_EQ(Children.back().count(STDIN_FILENO), 1u);
+    SessionInodes.insert(Children.back().at(STDIN_FILENO));
+  }
+  for (size_t K = 0; K != Children.size(); ++K) {
+    const unsigned long Own = Children[K].at(STDIN_FILENO);
+    EXPECT_EQ(Children[K].at(STDOUT_FILENO), Own) << "child " << K;
+    for (const auto &[Fd, Inode] : Children[K])
+      EXPECT_TRUE(Inode == Own || !SessionInodes.count(Inode))
+          << "child " << K << " holds another session's socket on fd " << Fd;
+  }
+}
+
+TEST_F(ShardTest, DaemonSessionsShipOnlyTheirOwnTaskTelemetry) {
+  // A daemon session must ship the events its own tasks recorded — not
+  // everything the daemon process recorded before the session, nor what
+  // concurrent sessions record. The daemon runs in this process, so its
+  // spans also sit in the local lanes; the ones that crossed the wire are
+  // the merged trace minus the local ones.
+  ScopedDaemon D;
+  const std::string Source = iteratorApiSource() + spreadsheetSource();
+  shard::CoordinatorOptions Co = testCoordinatorOptions(2);
+  Co.Endpoints = {D.Address};
+  ScopedTelemetry Collect(telemetry::TraceLevel::Phase);
+  (void)runSharded(Source, Co);
+  telemetry::resetTrace();
+  ShardRun Run = runSharded(Source, Co);
+
+  const std::string Trace = telemetry::chromeTraceJson();
+  const std::string TaskName = "\"name\":\"shard.task\"";
+  size_t Merged = 0;
+  for (size_t At = Trace.find(TaskName); At != std::string::npos;
+       At = Trace.find(TaskName, At + 1))
+    ++Merged;
+  size_t Local = 0;
+  for (const telemetry::EventRecord &E : telemetry::snapshotEvents())
+    Local += E.Name == "shard.task";
+  ASSERT_GE(Merged, Local);
+  EXPECT_GE(Merged - Local, 1u);
+  EXPECT_LE(Merged - Local, Run.Stats.ShardsDispatched);
 }
 
 } // namespace

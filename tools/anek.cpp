@@ -25,19 +25,20 @@
 // every N.
 //
 // --shards N (infer/verify/batch) farms wave batches to N crash-tolerant
-// worker *processes* (re-exec'd as the hidden `anek --worker` mode) over
-// the anek-shard-v2 pipe protocol; lost workers are respawned and their
-// shards re-dispatched, and a shard that keeps killing workers degrades
-// to in-process execution (src/shard/). stdout stays byte-identical to
-// -j1; the shard tier reports its accounting on stderr.
+// worker *processes* (re-exec'd as the hidden `anek --worker` mode, each
+// on one end of a socketpair) over the anek-shard-v2 protocol; lost
+// workers are respawned and their shards re-dispatched, and a shard that
+// keeps losing workers degrades to in-process execution (src/shard/).
+// stdout stays byte-identical to -j1; the shard tier reports its
+// accounting on stderr.
 //
 // --workers ADDR[,ADDR...] (infer/verify/batch) points the shard tier at
-// persistent `anek workerd` daemons instead of fork/exec'd children: each
+// persistent `anek workerd` daemons instead of local children: each
 // worker slot connects over TCP ("host:port") or a Unix socket
-// ("unix:/path"), handshakes Init-by-digest (a daemon that already holds
-// the program resident skips the re-parse), and dispatches the same Task
-// frames. Failures walk the degradation ladder — remote socket worker →
-// local fork/exec worker → in-process execution — so killing every
+// ("unix:/path") and runs the same session — the Init-by-digest
+// handshake (a daemon that already holds the program resident skips the
+// re-parse), then the same Task frames. The ladder has two rungs — the
+// slot's worker session, then in-process execution — so killing every
 // daemon degrades the run but never changes its stdout. `anek workerd
 // --listen ADDR` runs the daemon side; --heartbeat-timeout and
 // --shard-max-frame-bytes tune the coordinator's hang deadline and
@@ -277,7 +278,8 @@ std::vector<std::string> workerTelemetryArgv(const std::string &RawTracePath,
 
 /// The hidden `anek --worker [telemetry flags]` mode: parse the flags the
 /// coordinator forwarded (each worker expands %p to its own pid), then
-/// serve the anek-shard-v1 protocol over stdin/stdout. Unknown flags are
+/// serve one anek-shard-v2 session over the socket the coordinator passed
+/// as stdin and stdout. Unknown flags are
 /// ignored rather than fatal — both ends are the same binary, so a
 /// mismatch is a bug to survive, not hostile input to reject.
 int runWorkerMode(int Argc, char **Argv) {
@@ -295,7 +297,7 @@ int runWorkerMode(int Argc, char **Argv) {
         telemetry::setTraceLevel(Level);
     }
   }
-  return shard::runWorkerLoop(STDIN_FILENO, STDOUT_FILENO);
+  return shard::runWorkerLoop();
 }
 
 /// `anek workerd --listen ADDR`: the persistent shard worker daemon
@@ -1047,11 +1049,10 @@ int run(int Argc, char **Argv) {
                    "anek: shards: %u wave(s) remote, %u degraded; "
                    "%u dispatch(es) (%u remote), %u re-dispatch(es); "
                    "%u worker(s) spawned, %u lost; %u reconnect(s); "
-                   "%u shard(s) quarantined, %u endpoint(s) quarantined\n",
+                   "%u shard(s) quarantined\n",
                    S.WavesRemote, S.WavesDegraded, S.ShardsDispatched,
                    S.RemoteDispatches, S.Redispatches, S.WorkersSpawned,
-                   S.WorkersLost, S.Reconnects, S.ShardsQuarantined,
-                   S.EndpointsQuarantined);
+                   S.WorkersLost, S.Reconnects, S.ShardsQuarantined);
     }
     if (Diags.all().size())
       std::fputs(Diags.str().c_str(), stderr);

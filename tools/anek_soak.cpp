@@ -13,16 +13,16 @@
 // stream for inspection.
 //
 // Mode "worker-chaos" drives N sharded inference runs under randomized
-// worker chaos — real SIGKILLed/SIGSTOPped worker processes and corrupted
-// result frames — and checks the shard tier's invariants (see
+// worker chaos — real SIGKILLed worker processes, blackholed sessions and
+// corrupted result frames — and checks the shard tier's invariants (see
 // src/shard/ShardSoak.h): every shard reaches exactly one terminal state,
 // no summary is lost, and every run's output is byte-identical to the
 // in-process -j1 baseline. --min-dispatches asserts the soak actually
 // exercised the tier at scale. The tool re-execs itself as its own shard
 // worker (the hidden --worker mode).
 //
-// Mode "net-chaos" runs the same invariants over the socket transport:
-// it spawns --daemons persistent worker daemons (re-exec'd as the hidden
+// Mode "net-chaos" runs the same invariants over remote sessions: it
+// spawns --daemons persistent worker daemons (re-exec'd as the hidden
 // --workerd mode) on Unix sockets in a private temp directory, points
 // every round's coordinator at them, draws chaos from the network fault
 // vocabulary — injected connection refusals, mid-frame resets, read
@@ -101,15 +101,14 @@ int runWorkerChaosSoak(const shard::ShardSoakConfig &Cfg,
                "anek_soak: %s: %u round(s) (%u with chaos): "
                "%u wave(s) remote, %u degraded; %u dispatch(es) "
                "(%u remote), %u re-dispatch(es); %u worker(s) spawned, "
-               "%u lost; %u reconnect(s); %u shard(s) quarantined, "
-               "%u endpoint(s) quarantined; %zu violation(s)\n",
+               "%u lost; %u reconnect(s); %u shard(s) quarantined; "
+               "%zu violation(s)\n",
                ModeName, Report.Rounds, Report.FaultedRounds,
                Report.Totals.WavesRemote, Report.Totals.WavesDegraded,
                Report.Totals.ShardsDispatched,
                Report.Totals.RemoteDispatches, Report.Totals.Redispatches,
                Report.Totals.WorkersSpawned, Report.Totals.WorkersLost,
                Report.Totals.Reconnects, Report.Totals.ShardsQuarantined,
-               Report.Totals.EndpointsQuarantined,
                Report.Violations.size());
   for (const std::string &V : Report.Violations)
     std::fprintf(stderr, "anek_soak: violation: %s\n", V.c_str());
@@ -181,7 +180,7 @@ int runNetChaosSoak(shard::ShardSoakConfig Cfg, unsigned NumDaemons) {
     D.Proc.kill(SIGKILL);
     D.Proc.wait();
     // A failed respawn is survivable: the endpoint just stays refused and
-    // the ladder carries those rounds on the fallback rungs.
+    // those rounds' shards quarantine to in-process execution.
     (void)spawnDaemon(D);
   };
   int Exit = runWorkerChaosSoak(Cfg, "net-chaos");
@@ -278,7 +277,7 @@ int main(int Argc, char **Argv) {
   // their worker processes; the net-chaos soak re-execs it as its worker
   // daemons.
   if (Argc > 1 && std::strcmp(Argv[1], "--worker") == 0)
-    return shard::runWorkerLoop(STDIN_FILENO, STDOUT_FILENO);
+    return shard::runWorkerLoop();
   if (Argc > 1 && std::strcmp(Argv[1], "--workerd") == 0) {
     shard::WorkerDaemonOptions Opts;
     for (int I = 2; I + 1 < Argc; I += 2)
