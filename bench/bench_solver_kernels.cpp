@@ -26,8 +26,7 @@
 //
 // Reported numbers per config (BP messages/s, Gibbs flips/s):
 //   ref, pr3, scalar-backend, vector-backend throughput; vector/pr3 and
-//   scalar/pr3 speedups; plus a convergence run with residual scheduling
-//   enabled (wall time, iterations, skip fraction).
+//   scalar/pr3 speedups.
 //
 // Results land in bench_solver_kernels.json. Acceptance bars (exit code),
 // each a geometric mean over the mean-degree >= 8 configs of per-round
@@ -448,17 +447,6 @@ FactorGraph makeBenchGraph(unsigned NumVars, unsigned MeanDegree,
   return G;
 }
 
-/// Best-of-\p Reps wall time of \p Body (seconds).
-template <typename Fn> double bestOf(unsigned Reps, Fn &&Body) {
-  double Best = 1e100;
-  for (unsigned R = 0; R != Reps; ++R) {
-    Timer T;
-    Body();
-    Best = std::min(Best, T.seconds());
-  }
-  return Best;
-}
-
 /// Interleaved timing for competing kernels: each of \p Reps rounds
 /// runs every body twice — once untimed to repopulate the caches the
 /// previous contender evicted, then once timed — and records the full
@@ -546,9 +534,6 @@ struct ConfigResult {
   double BpMaxDiff = 0.0;    // active kernels vs pre-CSR reference.
   double BpPr3Diff = 0.0;    // active kernels vs PR 3 CSR baseline.
   bool BpVecBitEqual = true; // vector vs scalar marginals, bitwise.
-  double SchedSeconds = 0.0;
-  double SchedSkippedFrac = 0.0;
-  unsigned SchedIterations = 0;
   // Gibbs flips/sec by kernel generation.
   double GibbsRefFps = 0.0;
   double GibbsPr3Fps = 0.0;
@@ -614,12 +599,11 @@ int main() {
           2.0 * static_cast<double>(R.Edges) * BpIters;
 
       // Raw message throughput: fixed iterations, zero tolerance (no
-      // early exit), scheduling off — all kernels do identical work.
+      // early exit) — all kernels do identical work.
       SumProductSolver::Options RawOpts;
       RawOpts.MaxIterations = BpIters;
       RawOpts.Tolerance = 0.0;
       RawOpts.Damping = Damping;
-      RawOpts.ResidualScheduling = false;
       SumProductSolver Raw(RawOpts);
       SolveReport RawReport;
 
@@ -658,24 +642,6 @@ int main() {
       const Marginals &Active = HaveVector ? VecMarginals : ScalarMarginals;
       R.BpMaxDiff = maxAbsDiff(Active, RefMarginals);
       R.BpPr3Diff = maxAbsDiff(Active, Pr3Marginals);
-
-      // Convergence-mode run with residual scheduling on (active
-      // backend: the one production dispatch would pick).
-      kern::setKernelBackend(HaveVector ? VectorName : "scalar");
-      SumProductSolver::Options SchedOpts;
-      SchedOpts.MaxIterations = 200;
-      SchedOpts.Damping = Damping;
-      SumProductSolver Sched(SchedOpts);
-      SolveReport SchedReport;
-      R.SchedSeconds = bestOf(Reps, [&] {
-        Sched.solve(G, nullptr, &SchedReport);
-      });
-      R.SchedIterations = SchedReport.Iterations;
-      uint64_t Swept = SchedReport.Updates + SchedReport.SkippedUpdates;
-      R.SchedSkippedFrac =
-          Swept > 0 ? static_cast<double>(SchedReport.SkippedUpdates) /
-                          static_cast<double>(Swept)
-                    : 0.0;
 
       // Gibbs flip throughput. The kernel chains (scalar and vector,
       // identical to each other) differ from ref/pr3 chains — the lane
@@ -815,9 +781,6 @@ int main() {
          << ", \"bp_pr3_diff\": " << R.BpPr3Diff
          << ", \"bp_vec_bit_equal\": "
          << (R.BpVecBitEqual ? "true" : "false")
-         << ",\n     \"sched_seconds\": " << R.SchedSeconds
-         << ", \"sched_iterations\": " << R.SchedIterations
-         << ", \"sched_skipped_frac\": " << R.SchedSkippedFrac
          << ",\n     \"gibbs_ref_fps\": " << R.GibbsRefFps
          << ", \"gibbs_pr3_fps\": " << R.GibbsPr3Fps
          << ", \"gibbs_scalar_fps\": " << R.GibbsScalarFps

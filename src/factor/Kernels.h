@@ -98,29 +98,23 @@ struct BpState {
   // products after pass B's backward walk, then the full
   // prefix*suffix products (the unnormalized outgoing polarity
   // weights) after its forward walk folds the running prefix in.
+  // ClampT/ClampF/NewMsg/Change serve only the split variable pass
+  // (Commit false) and are null when the driver runs the fused one.
   double *ClampT = nullptr;
   double *ClampF = nullptr;
   double *SufT = nullptr;
   double *SufF = nullptr;
   double *NewMsg = nullptr;
   double *Change = nullptr;
-  // Phase-2 scratch, per edge.
+  // Phase-2 scratch, per edge: the general-arity marginalization's
+  // outputs.
   double *OutT = nullptr;
   double *OutF = nullptr;
-  double *EChange = nullptr;
-  // Residual-scheduling state, per factor.
-  double *PendingIn = nullptr;
-  double *LastOut = nullptr;
-  // Phase-2 skip compaction scratch (capacity NumFactors / NumEdges).
-  uint32_t *ActiveFactors = nullptr;
-  uint32_t *ActiveEdges = nullptr;
 };
 
 struct BpConsts {
   double Damping = 0.0;
   double OneMinusDamping = 1.0;
-  double Tolerance = 0.0;
-  double SkipTolerance = 0.0;
 };
 
 /// Variable-major view for Gibbs sweeps (arrays from EdgeLayout's Vm*
@@ -175,30 +169,27 @@ struct SolverKernels {
   /// then the damped message update into NewMsg (per position).
   ///
   /// With Commit false it does NOT write VarToFactor or compute a max —
-  /// it fills NewMsg/Change and returns 0.0, and the driver may
-  /// overwrite NewMsg/Change for high-degree variables (log domain)
-  /// before following up with BpVarScatter. With Commit true (the
-  /// steady state: no residual scheduling, no log-domain fixup pending)
-  /// pass C itself scatters NewMsg into VarToFactor and returns the max
-  /// change — pass D is fused away and Change is not even written,
-  /// saving three full position streams per iteration.
+  /// it fills NewMsg/Change and returns 0.0, and the driver overwrites
+  /// NewMsg/Change for high-degree variables (log domain) before
+  /// following up with BpVarScatter. With Commit true (every graph with
+  /// no variable of degree >= LogDomainMinDegree) pass C itself scatters
+  /// NewMsg into VarToFactor and returns the max change — pass D is
+  /// fused away and Change is not even written, saving three full
+  /// position streams per iteration.
   double (*BpVarMessages)(const BpView &V, const BpState &S, const BpConsts &C,
                           uint32_t VB, uint32_t VE, bool Commit);
 
-  /// BP phase-1 pass D: scatter NewMsg into VarToFactor, accumulate
-  /// Change into PendingIn (when Scheduling) in ascending position order,
-  /// return the max Change over [VarOffset[VB], VarOffset[VE]). Only
-  /// called when BpVarMessages ran with Commit false.
-  double (*BpVarScatter)(const BpView &V, const BpState &S, const BpConsts &C,
-                         uint32_t VB, uint32_t VE, bool Scheduling);
+  /// BP phase-1 pass D: scatter NewMsg into VarToFactor and return the
+  /// max Change over [VarOffset[VB], VarOffset[VE]). Only called when
+  /// BpVarMessages ran with Commit false.
+  double (*BpVarScatter)(const BpView &V, const BpState &S, uint32_t VB,
+                         uint32_t VE);
 
-  /// BP phase 2 for factors [FB, FE): skip-compaction (residual
-  /// scheduling), per-factor marginalization into OutT/OutF, damped
-  /// factor->var message commit, PendingIn/LastOut bookkeeping. Returns
-  /// the max message change; adds updated-edge / skipped-factor counts.
+  /// BP phase 2 for factors [FB, FE): per-factor marginalization and the
+  /// damped factor->var message commit, every factor every iteration.
+  /// Returns the max message change.
   double (*BpFactorSweep)(const BpView &V, const BpState &S, const BpConsts &C,
-                          uint32_t FB, uint32_t FE, bool Scheduling,
-                          bool Refresh, uint64_t *Updates, uint64_t *Skipped);
+                          uint32_t FB, uint32_t FE);
 
   /// One Gibbs pass over variables [VB, VE): per variable, the 4-lane
   /// conditional-weight product over incident factor tables, one RNG

@@ -92,7 +92,7 @@ const SolverKernels *kernelsAvx2() {
       "avx2",
       &impl::bpVarMessagesT<Avx2Traits>,
       &impl::bpVarScatterT<Avx2Traits>,
-      &impl::bpFactorSweepT<Avx2Traits>,
+      &impl::bpFactorDenseT<Avx2Traits>,
       &impl::gibbsSweepT<Avx2Traits>,
   };
   return &Table;

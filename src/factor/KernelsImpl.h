@@ -90,13 +90,13 @@ static inline double absBits(double X) {
 /// VarToFactor: the commit scattered NewMsg[P] there last iteration
 /// (and both start at 0.5), so the values are identical by induction.
 ///
-/// With Commit (the driver's steady state), the ClampT/ClampF and
-/// NewMsg arrays drop out entirely: the per-variable walks gather
-/// FactorToVar and re-clamp on the fly (clampMsg agrees bit-for-bit
-/// with the vector min/max clamp, and clamping twice is exact), the
-/// previous outgoing message is gathered from VarToFactor itself
-/// (identical to NewMsg[P] by the induction above), and pass D fuses
-/// into pass C: the change maxes in registers (max over non-NaN
+/// With Commit (every graph without a log-domain variable), the
+/// ClampT/ClampF and NewMsg arrays drop out entirely: the per-variable
+/// walks gather FactorToVar and re-clamp on the fly (clampMsg agrees
+/// bit-for-bit with the vector min/max clamp, and clamping twice is
+/// exact), the previous outgoing message is gathered from VarToFactor
+/// itself (identical to NewMsg[P] by the induction above), and pass D
+/// fuses into pass C: the change maxes in registers (max over non-NaN
 /// doubles is exactly order-free, so the strided tree matches any
 /// scalar running max bit-for-bit) and the committed message scatters
 /// in the same loop. That removes the Clamp stores plus their two
@@ -255,47 +255,35 @@ double bpVarMessagesT(const BpView &V, const BpState &S, const BpConsts &C,
   return 0.0;
 }
 
-/// BP phase-1 pass D: commit NewMsg, accumulate residual-scheduling
-/// pressure in ascending position order, return max change. The
-/// scheduling path is scalar in every backend (scatter-add with repeated
-/// factor targets); the unscheduled path takes the Change max with the
-/// standard strided lane tree — max over non-NaN doubles is exactly
-/// order-free, so the vector reduction is byte-identical to the scalar
-/// running max — and commits four messages per step.
+/// BP phase-1 pass D: commit NewMsg and return the max change. The
+/// Change max uses the standard strided lane tree — max over non-NaN
+/// doubles is exactly order-free, so the vector reduction is
+/// byte-identical to the scalar running max — and commits four messages
+/// per step.
 template <class T>
-double bpVarScatterT(const BpView &V, const BpState &S, const BpConsts &,
-                     uint32_t VB, uint32_t VE, bool Scheduling) {
+double bpVarScatterT(const BpView &V, const BpState &S, uint32_t VB,
+                     uint32_t VE) {
   typedef typename T::Vec Vec;
   const uint32_t PB = V.VarOffset[VB];
   const uint32_t PE = V.VarOffset[VE];
-  double Delta = 0.0;
-  if (Scheduling) {
-    for (uint32_t P = PB; P != PE; ++P) {
-      const double Ch = S.Change[P];
-      S.VarToFactor[V.VarEdges[P]] = S.NewMsg[P];
-      S.PendingIn[V.VmFactor[P]] += Ch;
-      Delta = Delta > Ch ? Delta : Ch;
-    }
-  } else {
-    Vec MaxV = T::zero();
-    uint32_t P = PB;
-    for (; P + 4 <= PE; P += 4) {
-      MaxV = T::max(MaxV, T::load(S.Change + P));
-      S.VarToFactor[V.VarEdges[P]] = S.NewMsg[P];
-      S.VarToFactor[V.VarEdges[P + 1]] = S.NewMsg[P + 1];
-      S.VarToFactor[V.VarEdges[P + 2]] = S.NewMsg[P + 2];
-      S.VarToFactor[V.VarEdges[P + 3]] = S.NewMsg[P + 3];
-    }
-    double L[4];
-    T::store(L, MaxV);
-    const double M01 = L[0] > L[1] ? L[0] : L[1];
-    const double M23 = L[2] > L[3] ? L[2] : L[3];
-    Delta = M01 > M23 ? M01 : M23;
-    for (; P != PE; ++P) {
-      const double Ch = S.Change[P];
-      S.VarToFactor[V.VarEdges[P]] = S.NewMsg[P];
-      Delta = Delta > Ch ? Delta : Ch;
-    }
+  Vec MaxV = T::zero();
+  uint32_t P = PB;
+  for (; P + 4 <= PE; P += 4) {
+    MaxV = T::max(MaxV, T::load(S.Change + P));
+    S.VarToFactor[V.VarEdges[P]] = S.NewMsg[P];
+    S.VarToFactor[V.VarEdges[P + 1]] = S.NewMsg[P + 1];
+    S.VarToFactor[V.VarEdges[P + 2]] = S.NewMsg[P + 2];
+    S.VarToFactor[V.VarEdges[P + 3]] = S.NewMsg[P + 3];
+  }
+  double L[4];
+  T::store(L, MaxV);
+  const double M01 = L[0] > L[1] ? L[0] : L[1];
+  const double M23 = L[2] > L[3] ? L[2] : L[3];
+  double Delta = M01 > M23 ? M01 : M23;
+  for (; P != PE; ++P) {
+    const double Ch = S.Change[P];
+    S.VarToFactor[V.VarEdges[P]] = S.NewMsg[P];
+    Delta = Delta > Ch ? Delta : Ch;
   }
   return Delta;
 }
@@ -385,24 +373,21 @@ inline void marginalizeFactorT(const BpView &V, const BpState &S, uint32_t F) {
   }
 }
 
-/// BP phase 2 when every factor in [FB, FE) runs (scheduling off): no
-/// skip compaction, and no index indirection in the commits. Two
-/// adjacent pairwise factors (the dominant shape constraint generation
-/// emits) marginalize AND commit entirely in registers: their four
-/// edges are contiguous, the four closed-form outputs assemble from
-/// two table loads with the shuffle network annotated below, and
-/// OutT/OutF are never touched — the round-trip through them and the
-/// separate commit pass exist only for the general path. Each lane's
-/// operation sequence is exactly the scalar closed form in
-/// marginalizeFactorT (multiply, multiply, add; MF = 1 - MT), so the
-/// message bytes are identical to the generic path's. EChange and the
-/// PendingIn/LastOut bookkeeping are skipped outright: with scheduling
-/// off nothing ever reads them (BpEngine state is per solve), and the
-/// iteration residual reduces to the global change max — exactly
+/// BP phase 2 for factors [FB, FE): every factor runs, with no index
+/// indirection in the commits. Two adjacent pairwise factors (the
+/// dominant shape constraint generation emits) marginalize AND commit
+/// entirely in registers: their four edges are contiguous, the four
+/// closed-form outputs assemble from two table loads with the shuffle
+/// network annotated below, and OutT/OutF are never touched — the
+/// round-trip through them and the separate commit pass exist only for
+/// the general path. Each lane's operation sequence is exactly the
+/// scalar closed form in marginalizeFactorT (multiply, multiply, add;
+/// MF = 1 - MT), so the message bytes are identical to the generic
+/// path's. The iteration residual is the global change max — exactly
 /// order-free, taken with the strided lane tree in registers.
 template <class T>
 double bpFactorDenseT(const BpView &V, const BpState &S, const BpConsts &C,
-                      uint32_t FB, uint32_t FE, uint64_t *Updates) {
+                      uint32_t FB, uint32_t FE) {
   typedef typename T::Vec Vec;
   const Vec One = T::broadcast(1.0);
   const Vec Half = T::broadcast(0.5);
@@ -539,89 +524,6 @@ double bpFactorDenseT(const BpView &V, const BpState &S, const BpConsts &C,
   const double M23 = L[2] > L[3] ? L[2] : L[3];
   const double MV = M01 > M23 ? M01 : M23;
   Delta = Delta > MV ? Delta : MV;
-  *Updates += V.FactorOffset[FE] - V.FactorOffset[FB];
-  return Delta;
-}
-
-/// BP phase 2 for factors [FB, FE): see Kernels.h.
-template <class T>
-double bpFactorSweepT(const BpView &V, const BpState &S, const BpConsts &C,
-                      uint32_t FB, uint32_t FE, bool Scheduling, bool Refresh,
-                      uint64_t *Updates, uint64_t *Skipped) {
-  typedef typename T::Vec Vec;
-  if (!Scheduling)
-    return bpFactorDenseT<T>(V, S, C, FB, FE, Updates);
-
-  // Skip compaction: factors whose inputs are quiet since an already
-  // sub-tolerance update cannot move their outputs past a fraction of
-  // the tolerance. Value-dependent only, so deterministic.
-  uint32_t NumActive = 0, NumActiveEdges = 0;
-  for (uint32_t F = FB; F != FE; ++F) {
-    if (!Refresh && S.PendingIn[F] <= C.SkipTolerance &&
-        S.LastOut[F] <= C.Tolerance) {
-      ++*Skipped;
-      continue;
-    }
-    S.ActiveFactors[NumActive++] = F;
-    for (uint32_t E = V.FactorOffset[F]; E != V.FactorOffset[F + 1]; ++E)
-      S.ActiveEdges[NumActiveEdges++] = E;
-  }
-
-  for (uint32_t A = 0; A != NumActive; ++A)
-    marginalizeFactorT<T>(V, S, S.ActiveFactors[A]);
-
-  // Output commit, elementwise over the compacted active-edge list.
-  {
-    const Vec One = T::broadcast(1.0);
-    const Vec Half = T::broadcast(0.5);
-    const Vec Damp = T::broadcast(C.Damping);
-    const Vec OneMinusDamp = T::broadcast(C.OneMinusDamping);
-    uint32_t I = 0;
-    for (; I + 4 <= NumActiveEdges; I += 4) {
-      const uint32_t *E4 = S.ActiveEdges + I;
-      const Vec OutT = T::gather(S.OutT, E4);
-      const Vec OutF = T::gather(S.OutF, E4);
-      const Vec Sum = T::add(OutT, OutF);
-      const Vec Quot = T::div(OutT, T::selectGt0(Sum, Sum, One));
-      const Vec Undamped = T::selectGt0(Sum, Quot, Half);
-      const Vec Old = T::gather(S.FactorToVar, E4);
-      const Vec NewMsg =
-          T::add(T::mul(OneMinusDamp, Undamped), T::mul(Damp, Old));
-      const Vec Ch = T::abs(T::sub(NewMsg, Old));
-      double NewL[4], ChL[4];
-      T::store(NewL, NewMsg);
-      T::store(ChL, Ch);
-      for (uint32_t J = 0; J != 4; ++J) {
-        S.FactorToVar[E4[J]] = NewL[J];
-        S.EChange[E4[J]] = ChL[J];
-      }
-    }
-    for (; I != NumActiveEdges; ++I) {
-      const uint32_t E = S.ActiveEdges[I];
-      const double Sum = S.OutT[E] + S.OutF[E];
-      const double Undamped = Sum > 0 ? S.OutT[E] / Sum : 0.5;
-      const double Old = S.FactorToVar[E];
-      const double NewMsg =
-          C.OneMinusDamping * Undamped + C.Damping * Old;
-      S.FactorToVar[E] = NewMsg;
-      S.EChange[E] = absBits(NewMsg - Old);
-    }
-  }
-
-  // Wrap-up: per-factor max change (order-free), scheduling state reset.
-  double Delta = 0.0;
-  for (uint32_t A = 0; A != NumActive; ++A) {
-    const uint32_t F = S.ActiveFactors[A];
-    double MaxChange = 0.0;
-    for (uint32_t E = V.FactorOffset[F]; E != V.FactorOffset[F + 1]; ++E) {
-      const double Ch = S.EChange[E];
-      MaxChange = MaxChange > Ch ? MaxChange : Ch;
-    }
-    Delta = Delta > MaxChange ? Delta : MaxChange;
-    S.PendingIn[F] = 0.0;
-    S.LastOut[F] = MaxChange;
-    *Updates += V.FactorOffset[F + 1] - V.FactorOffset[F];
-  }
   return Delta;
 }
 

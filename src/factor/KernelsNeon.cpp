@@ -113,7 +113,7 @@ const SolverKernels *kernelsNeon() {
       "neon",
       &impl::bpVarMessagesT<NeonTraits>,
       &impl::bpVarScatterT<NeonTraits>,
-      &impl::bpFactorSweepT<NeonTraits>,
+      &impl::bpFactorDenseT<NeonTraits>,
       &impl::gibbsSweepT<NeonTraits>,
   };
   return &Table;

@@ -123,7 +123,7 @@ const SolverKernels *kernelsScalar() {
       "scalar",
       &impl::bpVarMessagesT<ScalarTraits>,
       &impl::bpVarScatterT<ScalarTraits>,
-      &impl::bpFactorSweepT<ScalarTraits>,
+      &impl::bpFactorDenseT<ScalarTraits>,
       &impl::gibbsSweepT<ScalarTraits>,
   };
   return &Table;

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 
 using namespace anek;
 
@@ -25,8 +24,10 @@ using namespace anek;
 // owns the per-solve message and scratch arrays, and runs the flooding
 // loop through the active backend.
 //
-// The loop checks its exit condition before each iteration Iter and stops
-// when Iter == MaxIterations, when the last residual is no longer above
+// Every iteration recomputes every message: no factor is skipped, so the
+// cost of a solve is (iterations) x (edges) and nothing else. The loop
+// checks its exit condition before each iteration Iter and stops when
+// Iter == MaxIterations, when the last residual is no longer above
 // Tolerance (a NaN residual included), or when the budget has expired;
 // Iterations reports Iter. Short of an expired budget, the exit depends
 // only on the graph, the Options and the message values, which every
@@ -56,7 +57,6 @@ public:
   unsigned Iterations = 0;
   bool DeadlineExpired = false;
   uint64_t Updates = 0;
-  uint64_t Skipped = 0;
 
 private:
   /// Recompute NewMsg/Change in the log domain for the variables with
@@ -70,9 +70,7 @@ private:
   kern::BpView View;
   std::vector<double> VarToFactor, FactorToVar;
   std::vector<double> ClampT, ClampF, SufT, SufF, NewMsg, Change;
-  std::vector<double> OutT, OutF, EChange;
-  std::vector<double> PendingIn, LastOut;
-  std::vector<uint32_t> ActiveFactors, ActiveEdges;
+  std::vector<double> OutT, OutF;
   std::vector<uint32_t> HighDegVars; ///< empty on most graphs.
   std::vector<double> LogSufT, LogSufF;
   kern::BpState State;
@@ -81,13 +79,12 @@ private:
 BpEngine::BpEngine(const FactorGraph &G) {
   const FactorGraph::EdgeLayout &L = G.edgeLayout();
   const uint32_t NumVars = G.variableCount();
-  const uint32_t NumFactors = G.factorCount();
   const uint32_t NumEdges = L.edgeCount();
   Priors.resize(NumVars);
   for (uint32_t V = 0; V != NumVars; ++V)
     Priors[V] = G.variable(V).Prior;
   View.NumVars = NumVars;
-  View.NumFactors = NumFactors;
+  View.NumFactors = G.factorCount();
   View.NumEdges = NumEdges;
   View.FactorOffset = L.FactorOffset.data();
   View.VarOffset = L.VarOffset.data();
@@ -97,25 +94,12 @@ BpEngine::BpEngine(const FactorGraph &G) {
   View.TableFlat = L.TableFlat.data();
   View.Priors = Priors.data();
 
-  const double Inf = std::numeric_limits<double>::infinity();
   VarToFactor.assign(NumEdges, 0.5);
   FactorToVar.assign(NumEdges, 0.5);
-  ClampT.resize(NumEdges);
-  ClampF.resize(NumEdges);
   SufT.resize(NumEdges);
   SufF.resize(NumEdges);
-  // NewMsg mirrors VarToFactor per position (pass C reads it as the
-  // previous outgoing message), so it must share the 0.5 seed.
-  NewMsg.assign(NumEdges, 0.5);
-  Change.resize(NumEdges);
   OutT.resize(NumEdges);
   OutF.resize(NumEdges);
-  EChange.resize(NumEdges);
-  // The +inf seeds force every factor to run on the first iteration.
-  PendingIn.assign(NumFactors, Inf);
-  LastOut.assign(NumFactors, Inf);
-  ActiveFactors.resize(NumFactors);
-  ActiveEdges.resize(NumEdges);
   uint32_t MaxDeg = 0;
   for (uint32_t Var = 0; Var != NumVars; ++Var) {
     const uint32_t Deg = L.VarOffset[Var + 1] - L.VarOffset[Var];
@@ -123,7 +107,15 @@ BpEngine::BpEngine(const FactorGraph &G) {
     if (Deg >= kern::LogDomainMinDegree)
       HighDegVars.push_back(Var);
   }
+  // Only the split variable pass (see run()) reads or writes the Clamp,
+  // NewMsg and Change streams; the fused pass never touches them.
   if (!HighDegVars.empty()) {
+    ClampT.resize(NumEdges);
+    ClampF.resize(NumEdges);
+    // NewMsg mirrors VarToFactor per position (pass C reads it as the
+    // previous outgoing message), so it must share the 0.5 seed.
+    NewMsg.assign(NumEdges, 0.5);
+    Change.resize(NumEdges);
     LogSufT.resize(MaxDeg);
     LogSufF.resize(MaxDeg);
   }
@@ -137,11 +129,6 @@ BpEngine::BpEngine(const FactorGraph &G) {
   State.Change = Change.data();
   State.OutT = OutT.data();
   State.OutF = OutF.data();
-  State.EChange = EChange.data();
-  State.PendingIn = PendingIn.data();
-  State.LastOut = LastOut.data();
-  State.ActiveFactors = ActiveFactors.data();
-  State.ActiveEdges = ActiveEdges.data();
 }
 
 void BpEngine::logDomainFixup(const kern::BpConsts &C) {
@@ -177,13 +164,12 @@ void BpEngine::logDomainFixup(const kern::BpConsts &C) {
 
 void BpEngine::run(const SumProductSolver::Options &Opts, bool TraceIters) {
   const kern::SolverKernels &K = kern::solverKernels();
-  const kern::BpConsts C{Opts.Damping, 1.0 - Opts.Damping, Opts.Tolerance,
-                         0.5 * Opts.Tolerance};
-  // Steady state (no residual scheduling, no log-domain fixup pending):
-  // pass D is fused into the var-message kernel, which commits and
-  // returns the max change itself. Otherwise the split form runs so the
-  // fixup can overwrite NewMsg/Change in between.
-  const bool Commit = !Opts.ResidualScheduling && HighDegVars.empty();
+  const kern::BpConsts C{Opts.Damping, 1.0 - Opts.Damping};
+  // Without a high-degree variable, pass D is fused into the var-message
+  // kernel, which commits and returns the max change itself. Otherwise
+  // the split form runs so the log-domain fixup can overwrite
+  // NewMsg/Change in between.
+  const bool Commit = HighDegVars.empty();
   unsigned Iter = 0;
   for (; Iter != Opts.MaxIterations && Delta > Opts.Tolerance; ++Iter) {
     if (Opts.Budget.expired(Iter)) {
@@ -193,19 +179,14 @@ void BpEngine::run(const SumProductSolver::Options &Opts, bool TraceIters) {
     if (TraceIters && Iter != 0)
       telemetry::counterSample("bp.residual", telemetry::TraceLevel::Solver,
                                "solver", "residual", Delta);
-    const bool Refresh =
-        Opts.RefreshInterval != 0 &&
-        (Iter % Opts.RefreshInterval) == Opts.RefreshInterval - 1;
     double D1 = K.BpVarMessages(View, State, C, 0, View.NumVars, Commit);
     if (!Commit) {
       logDomainFixup(C);
-      D1 = K.BpVarScatter(View, State, C, 0, View.NumVars,
-                          Opts.ResidualScheduling);
+      D1 = K.BpVarScatter(View, State, 0, View.NumVars);
     }
-    Updates += View.NumEdges;
-    const double D2 =
-        K.BpFactorSweep(View, State, C, 0, View.NumFactors,
-                        Opts.ResidualScheduling, Refresh, &Updates, &Skipped);
+    const double D2 = K.BpFactorSweep(View, State, C, 0, View.NumFactors);
+    // Both passes recompute every edge's message.
+    Updates += 2 * uint64_t{View.NumEdges};
     Delta = D1 > D2 ? D1 : D2;
   }
   Iterations = Iter;
@@ -268,7 +249,6 @@ Marginals SumProductSolver::solve(const FactorGraph &G,
     Report->DeadlineExpired = Engine.DeadlineExpired;
     Report->Converged = Converged;
     Report->Updates = Engine.Updates;
-    Report->SkippedUpdates = Engine.Skipped;
     Report->Reason.clear();
     if (!Converged)
       Report->Reason = formatStr(
@@ -283,7 +263,6 @@ Marginals SumProductSolver::solve(const FactorGraph &G,
   if (telemetry::enabled(telemetry::TraceLevel::Phase)) {
     telemetry::counter("solver.bp.solves").add(1);
     telemetry::counter("solver.bp.messages").add(Engine.Updates);
-    telemetry::counter("solver.bp.skipped_updates").add(Engine.Skipped);
     if (!Converged)
       telemetry::counter("solver.bp.nonconverged").add(1);
     telemetry::histogram("solver.bp.iterations")

@@ -54,9 +54,6 @@ struct SolveReport {
   /// resampling steps (Gibbs). Updates / Seconds is the throughput the
   /// bench suite tracks.
   uint64_t Updates = 0;
-  /// Factor updates elided by residual scheduling (BP only): sweeps over
-  /// factors whose inputs had not moved since their last update.
-  uint64_t SkippedUpdates = 0;
   /// Why the solver missed its convergence contract, in the solver's own
   /// words ("deadline expired after 3 of 2200 sweeps, 0/2000 samples
   /// collected"); empty when Converged. The fallback cascade threads
@@ -65,11 +62,19 @@ struct SolveReport {
   std::string Reason;
 };
 
-/// Loopy belief propagation (sum-product) with a flooding schedule.
+/// Loopy belief propagation (sum-product) with a flooding schedule: every
+/// message is recomputed on every iteration until the largest change
+/// falls to Tolerance or MaxIterations runs out. There is one stage and
+/// no schedule to tune; the fallback cascade (AnekInfer, GlobalInfer)
+/// decides what a miss costs.
 class SumProductSolver {
 public:
   struct Options {
-    unsigned MaxIterations = 40;
+    /// Iteration cap. The graphs ANEK generates converge in well under
+    /// 150 iterations (the PMD corpus and the Table 3 chain top out near
+    /// 140), so 200 leaves headroom while still bounding a frustrated
+    /// graph that never settles.
+    unsigned MaxIterations = 200;
     /// L-inf convergence threshold on message change.
     double Tolerance = 1e-5;
     /// Message damping in [0,1): new = (1-d)*new + d*old. Helps loopy
@@ -77,17 +82,6 @@ public:
     double Damping = 0.15;
     /// Wall-clock budget checked once per iteration (default unlimited).
     Deadline Budget;
-    /// Residual-driven factor scheduling: skip a factor's table sweep
-    /// when its incoming messages have accumulated less than half the
-    /// tolerance of change since its last update *and* that update
-    /// already moved its outgoing messages by at most the tolerance —
-    /// converged regions stop paying per-iteration cost. Skipping is a
-    /// pure function of message values, so it is deterministic.
-    bool ResidualScheduling = true;
-    /// Every RefreshInterval-th iteration recomputes every factor
-    /// regardless of residual, so sub-threshold drift cannot accumulate
-    /// unseen. 0 disables the periodic refresh.
-    unsigned RefreshInterval = 8;
   };
 
   SumProductSolver() = default;

@@ -454,31 +454,13 @@ Expected<Marginals> InferEngine::solveGraph(const FactorGraph &G,
     return RunBp(SumProductSolver::Options());
   }
 
-  // The cascade (DESIGN.md): BP -> damped BP -> Gibbs -> exact.
-  SumProductSolver::Options BpOpts;
-  Marginals M = RunBp(BpOpts);
+  // The cascade (DESIGN.md): BP -> Gibbs -> exact.
+  Marginals BpM = RunBp(SumProductSolver::Options());
   if (Report.Solve.Converged || !Opts.Fallback)
-    return M;
+    return BpM;
 
   Report.Fallback = true;
-  // The solver names its own failure (SolveReport::Reason); the cascade
-  // only adds which stage it is leaving.
-  appendReason(Report,
-               "bp missed convergence (" + Report.Solve.Reason + ")");
-  countCascadeStage("damped_bp");
-
-  // Stage 2: heavier damping and a longer leash tame most oscillations.
-  // The retry also turns residual scheduling off: a solve that already
-  // missed its contract should not skip any factor update, however
-  // quiet, while it hunts for the fixed point.
-  SumProductSolver::Options Damped;
-  Damped.Damping = 0.6;
-  Damped.MaxIterations = BpOpts.MaxIterations * 2;
-  Damped.ResidualScheduling = false;
-  Marginals DampedM = RunBp(Damped);
-  if (Report.Solve.Converged)
-    return DampedM;
-  SolveReport DampedReport = Report.Solve;
+  SolveReport BpReport = Report.Solve;
   // Nearly-converged beliefs beat a jump to sampling: Gibbs noise can
   // erase a spec that a residual this small would have kept. The injected
   // non-convergence fault models *bad* divergence, so it skips this exit.
@@ -487,17 +469,18 @@ Expected<Marginals> InferEngine::solveGraph(const FactorGraph &G,
         faults::active(FaultKind::BpNonConvergence)) &&
       !Report.Solve.DeadlineExpired &&
       Report.Solve.Residual <= NearConvergence) {
-    appendReason(Report, formatStr("accepted nearly-converged damped bp "
+    appendReason(Report, formatStr("accepted nearly-converged bp "
                                    "(residual %.2g)",
                                    Report.Solve.Residual));
-    return DampedM;
+    return BpM;
   }
-  appendReason(Report, formatStr("damped bp retry missed convergence "
-                                 "(residual %.2g)",
-                                 Report.Solve.Residual));
+  // The solver names its own failure (SolveReport::Reason); the cascade
+  // only adds which stage it is leaving.
+  appendReason(Report,
+               "bp missed convergence (" + Report.Solve.Reason + ")");
   countCascadeStage("gibbs");
 
-  // Stage 3: seeded Gibbs does not depend on message convergence at all.
+  // Stage 2: seeded Gibbs does not depend on message convergence at all.
   Marginals GibbsM = RunGibbs();
   if (Report.Solve.Converged)
     return GibbsM;
@@ -512,7 +495,7 @@ Expected<Marginals> InferEngine::solveGraph(const FactorGraph &G,
                                 : Report.Solve.Reason) +
                            ")");
 
-  // Stage 4: exact enumeration when the graph is small enough.
+  // Stage 3: exact enumeration when the graph is small enough.
   if (G.variableCount() <= ExactSolver::MaxVariables) {
     countCascadeStage("exact");
     Expected<Marginals> ExactM = RunExact();
@@ -522,9 +505,9 @@ Expected<Marginals> InferEngine::solveGraph(const FactorGraph &G,
   }
 
   // Every stage degraded: keep the best approximation we have — a partial
-  // Gibbs estimate when any samples were collected, else the damped
-  // (unconverged) BP beliefs. Still a usable approximation, and the
-  // report says exactly how it was obtained.
+  // Gibbs estimate when any samples were collected, else the unconverged
+  // BP beliefs. Still a usable approximation, and the report says
+  // exactly how it was obtained.
   if (telemetry::enabled(telemetry::TraceLevel::Phase))
     telemetry::counter("cascade.kept_degraded").add(1);
   if (GibbsCollectedSome) {
@@ -532,12 +515,12 @@ Expected<Marginals> InferEngine::solveGraph(const FactorGraph &G,
     return GibbsM;
   }
   Report.Used = SolverChoice::SumProduct;
-  Report.Solve = DampedReport;
+  Report.Solve = BpReport;
   appendReason(Report, "using unconverged bp beliefs");
   // GraphBelief currently holds Gibbs-derived beliefs; recompute for the
-  // damped BP marginals we are about to return.
-  DividePriors(DampedM);
-  return DampedM;
+  // BP marginals we are about to return.
+  DividePriors(BpM);
+  return BpM;
 }
 
 void InferEngine::forEachApplication(

@@ -126,8 +126,9 @@ struct InferOptions {
 
   // Robustness knobs (see DESIGN.md, "Failure model and degradation").
   /// When the primary solver misses its convergence contract, walk the
-  /// fallback cascade (BP -> damped BP -> Gibbs -> exact) instead of
-  /// silently using unconverged beliefs.
+  /// fallback cascade (BP -> Gibbs -> exact; BP beliefs within 1e-2 of
+  /// convergence are kept) instead of silently using unconverged
+  /// beliefs.
   bool Fallback = true;
   /// Wall-clock budget per SOLVE step in seconds; 0 = unlimited. The
   /// budget is a degradation trigger, not an abort: an expired solve

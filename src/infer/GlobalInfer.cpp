@@ -209,38 +209,28 @@ GlobalResult anek::runGlobalInfer(Program &Prog, const InferOptions &Opts,
   };
 
   // Same fallback cascade as the modular algorithm, applied to the one
-  // joint solve: BP -> damped BP -> Gibbs -> exact (small graphs only).
+  // joint solve: BP -> Gibbs -> exact (small graphs only).
   Timer SolveTimer;
   SumProductSolver::Options SolverOpts;
-  SolverOpts.MaxIterations = 80;
   SolverOpts.Budget = Budget;
   Result.Used = SolverChoice::SumProduct;
   Marginals Solution =
       SumProductSolver(SolverOpts).solve(FG, nullptr, &Result.Solve);
   if (!Result.Solve.Converged && Opts.Fallback) {
     Result.Fallback = true;
-    AppendReason(formatStr("bp missed convergence (residual %.2g after %u "
-                           "iterations)",
-                           Result.Solve.Residual, Result.Solve.Iterations));
-    SumProductSolver::Options Damped = SolverOpts;
-    Damped.Damping = 0.6;
-    Damped.MaxIterations = SolverOpts.MaxIterations * 2;
-    Solution = SumProductSolver(Damped).solve(FG, nullptr, &Result.Solve);
     // Same near-convergence exit as the modular cascade: beliefs a hair
     // short of the tolerance are better than Gibbs sampling noise.
     constexpr double NearConvergence = 1e-2;
-    if (!Result.Solve.Converged &&
-        !(faults::anyActive() &&
+    if (!(faults::anyActive() &&
           faults::active(FaultKind::BpNonConvergence)) &&
         !Result.Solve.DeadlineExpired &&
         Result.Solve.Residual <= NearConvergence) {
-      AppendReason(formatStr("accepted nearly-converged damped bp "
-                             "(residual %.2g)",
+      AppendReason(formatStr("accepted nearly-converged bp (residual %.2g)",
                              Result.Solve.Residual));
-    } else if (!Result.Solve.Converged) {
-      AppendReason(formatStr("damped bp retry missed convergence "
-                             "(residual %.2g)",
-                             Result.Solve.Residual));
+    } else {
+      AppendReason(formatStr("bp missed convergence (residual %.2g after "
+                             "%u iterations)",
+                             Result.Solve.Residual, Result.Solve.Iterations));
       GibbsSolver::Options GibbsOpts;
       GibbsOpts.Budget = Budget;
       Result.Used = SolverChoice::Gibbs;

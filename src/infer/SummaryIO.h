@@ -49,8 +49,11 @@
 namespace anek {
 namespace summaryio {
 
-/// Bump on any layout change; decoders reject every other version.
-constexpr uint32_t WireVersion = 1;
+/// Bump on any layout change; decoders reject every other version. The
+/// summary cache's environment digest also hashes it, so a bump is also
+/// how a change to what a SOLVE computes invalidates entries already on
+/// disk.
+constexpr uint32_t WireVersion = 2;
 
 /// What a sealed blob carries. The kind is part of the envelope so a
 /// snapshot can never be mistaken for an outcomes blob by a confused

@@ -17,9 +17,11 @@
 #include "lang/Sema.h"
 #include "support/FaultInject.h"
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <unistd.h>
@@ -179,6 +181,99 @@ TEST_F(CacheTest, CacheEntryCodecRejectsDamage) {
   EXPECT_FALSE(summaryio::decodeCacheEntry(
                    std::string_view(Blob).substr(0, Blob.size() - 1), 7)
                    .hasValue());
+}
+
+/// \p Blob with its envelope's version field (offset 8, native-endian
+/// u32 like every wire integer) set to \p Version: what a build that
+/// spoke that version would have sealed.
+std::string withWireVersion(std::string Blob, uint32_t Version) {
+  std::memcpy(&Blob[8], &Version, sizeof(Version));
+  return Blob;
+}
+
+TEST_F(CacheTest, OlderWireVersionIsRejectedByEveryBlobDecoder) {
+  // Version 1 blobs carried the two-stage BP's SolveReport layout (with
+  // SkippedUpdates); no decoder may read one as a current blob. The
+  // shard tier's outcome frames go through the same envelope check.
+  ASSERT_EQ(summaryio::WireVersion, 2u);
+  const std::string Entry = withWireVersion(
+      summaryio::encodeCacheEntry(7, sampleSolve()), 1);
+  Expected<CachedSolve> E = summaryio::decodeCacheEntry(Entry, 7);
+  ASSERT_FALSE(E.hasValue());
+  EXPECT_NE(E.status().str().find("unsupported wire version 1"),
+            std::string::npos)
+      << E.status().str();
+
+  summaryio::ShardMethodOutcome Outcome;
+  Outcome.DeclIndex = 3;
+  Outcome.Solve.Converged = true;
+  const std::string Outcomes =
+      withWireVersion(summaryio::encodeOutcomes({Outcome}), 1);
+  Expected<std::vector<summaryio::ShardMethodOutcome>> O =
+      summaryio::decodeOutcomes(Outcomes);
+  ASSERT_FALSE(O.hasValue());
+  EXPECT_NE(O.status().str().find("unsupported wire version 1"),
+            std::string::npos)
+      << O.status().str();
+  // The unpatched blobs still decode.
+  EXPECT_TRUE(summaryio::decodeOutcomes(summaryio::encodeOutcomes({Outcome}))
+                  .hasValue());
+}
+
+TEST_F(CacheTest, EntriesSealedUnderOlderWireVersionAreResolved) {
+  // A cache directory filled by a build that spoke wire version 1 must
+  // not replay its marginals: every such entry reads as a (counted)
+  // miss, the method is solved again, the fresh result is stored over
+  // it, and the output equals a cold run's.
+  const std::string Source = iteratorApiSource() + spreadsheetSource();
+  const std::string Dir = tempDir();
+  InferResult Cold;
+  std::string ColdSpecs;
+  {
+    cache::SummaryCache Cache(Dir);
+    InferOptions Opts;
+    Opts.Cache = &Cache;
+    auto Prog = analyze(Source);
+    Cold = runAnekInfer(*Prog, Opts);
+    ColdSpecs = renderedSpecs(*Prog, Cold);
+  }
+  ASSERT_GT(Cold.Cache.Stores, 0u);
+
+  unsigned Patched = 0;
+  for (const auto &E : fs::directory_iterator(Dir)) {
+    if (E.path().extension() != ".sum")
+      continue;
+    std::string Blob;
+    {
+      std::ifstream In(E.path(), std::ios::binary);
+      Blob.assign(std::istreambuf_iterator<char>(In), {});
+    }
+    std::ofstream(E.path(), std::ios::binary | std::ios::trunc)
+        << withWireVersion(std::move(Blob), 1);
+    ++Patched;
+  }
+  ASSERT_EQ(Patched, Cold.Cache.Stores);
+
+  cache::SummaryCache Cache(Dir);
+  InferOptions Opts;
+  Opts.Cache = &Cache;
+  auto Stale = analyze(Source);
+  InferResult R = runAnekInfer(*Stale, Opts);
+  // No stale entry replays. The only hits are the ones the cold run
+  // also had: keys this very run stored a moment earlier.
+  EXPECT_EQ(R.Cache.Hits, Cold.Cache.Hits);
+  EXPECT_EQ(R.Cache.Corrupt, Patched);
+  EXPECT_EQ(R.Cache.Stores, Patched);
+  EXPECT_EQ(R.MethodsAnalyzed, Cold.MethodsAnalyzed);
+  EXPECT_EQ(renderedSpecs(*Stale, R), ColdSpecs);
+
+  // The re-solved entries replay on the next run.
+  auto Warm = analyze(Source);
+  InferResult W = runAnekInfer(*Warm, Opts);
+  EXPECT_GT(W.Cache.Hits, 0u);
+  EXPECT_EQ(W.Cache.Corrupt, 0u);
+  EXPECT_EQ(W.Cache.Stores, 0u);
+  EXPECT_EQ(renderedSpecs(*Warm, W), ColdSpecs);
 }
 
 //===----------------------------------------------------------------------===//

@@ -12,6 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "corpus/ExampleSources.h"
+#include "corpus/InlineComparison.h"
 #include "corpus/PmdGenerator.h"
 #include "infer/AnekInfer.h"
 #include "lang/PrettyPrinter.h"
@@ -160,6 +161,41 @@ TEST(DeterminismPmdTest, ParallelMatchesSequentialOnPmdCorpus) {
   ASSERT_FALSE(Sequential.empty());
   EXPECT_EQ(Sequential, renderRun(Corpus.Source, 4));
   EXPECT_EQ(Sequential, renderRun(Corpus.Source, 1));
+}
+
+/// The one-stage BP contract on the paper's two modular workloads: with
+/// default options every SOLVE converges within the iteration cap, so no
+/// method walks the fallback cascade, and the result is still
+/// byte-identical across -j.
+void expectEverySolveConverges(const std::string &Source) {
+  DiagnosticEngine Diags;
+  std::unique_ptr<Program> Prog = parseAndAnalyze(Source, Diags);
+  ASSERT_TRUE(Prog != nullptr) << Diags.str();
+  InferResult R = runAnekInfer(*Prog, InferOptions(), &Diags);
+  ASSERT_FALSE(R.Reports.empty());
+  EXPECT_EQ(R.FallbackSolves, 0u);
+  for (const auto &[M, Report] : R.Reports) {
+    EXPECT_EQ(Report.Used, SolverChoice::SumProduct) << M->qualifiedName();
+    EXPECT_FALSE(Report.Fallback) << M->qualifiedName();
+    EXPECT_TRUE(Report.Solve.Converged)
+        << M->qualifiedName() << ": " << Report.Solve.Reason;
+  }
+  EXPECT_EQ(renderRun(Source, 1), renderRun(Source, 4));
+}
+
+TEST(BpConvergenceTest, Table3HelperChainConvergesWithoutFallback) {
+  expectEverySolveConverges(generateInlineComparison(48).Modular);
+}
+
+TEST(BpConvergenceTest, PmdCorpusConvergesWithoutFallback) {
+  PmdConfig Config;
+  Config.Classes = 22;
+  Config.Methods = 90;
+  Config.Wrappers = 3;
+  Config.DirectSites = 6;
+  Config.WrapperConsumerSites = 4;
+  PmdCorpus Corpus = generatePmdCorpus(Config);
+  expectEverySolveConverges(Corpus.Source);
 }
 
 TEST(DeterminismDriverTest, InferJobsProduceIdenticalBytes) {

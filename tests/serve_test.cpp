@@ -631,15 +631,17 @@ TEST_F(BatchDriverTest, BatchEmitsOneJsonLinePerRequest) {
                                 "example:spreadsheet jobs=2\n");
   std::string Output;
   int Exit = runTool("batch " + Manifest.string() + " --workers 2", &Output);
-  // The examples degrade (fallback solves), so all-ok exit 0 is not
-  // expected; 1 is the any-non-ok contract.
-  EXPECT_EQ(Exit, 1) << Output;
+  // Every example solves without a fallback, so every request ends ok
+  // and the batch exits 0 (1 is the any-non-ok contract).
+  EXPECT_EQ(Exit, 0) << Output;
   unsigned JsonLines = 0;
   std::istringstream In(Output);
   std::string Line;
   while (std::getline(In, Line))
-    if (Line.rfind("{\"schema\": \"anek-batch-v1\"", 0) == 0)
+    if (Line.rfind("{\"schema\": \"anek-batch-v1\"", 0) == 0) {
       ++JsonLines;
+      EXPECT_NE(Line.find("\"state\": \"ok\""), std::string::npos) << Line;
+    }
   EXPECT_EQ(JsonLines, 3u);
   EXPECT_NE(Output.find("\"id\": \"beta\""), std::string::npos);
   EXPECT_NE(Output.find("3 request(s)"), std::string::npos);
@@ -694,15 +696,25 @@ TEST_F(BatchDriverTest, PathTemplatesExpandPid) {
   std::string MetricsTemplate = (TempDir / "m-%p.json").string();
   int Exit = runTool("batch " + Manifest.string() + " --out " + OutTemplate +
                      " --metrics " + MetricsTemplate);
-  EXPECT_EQ(Exit, 1);
+  EXPECT_EQ(Exit, 0);
   // %p expanded: the literal template must not exist, a pid-stamped
   // sibling must.
   EXPECT_FALSE(fs::exists(TempDir / "r-%p.jsonl"));
   unsigned OutFiles = 0, MetricFiles = 0;
   for (const auto &Entry : fs::directory_iterator(TempDir)) {
     std::string Name = Entry.path().filename().string();
-    if (Name.rfind("r-", 0) == 0 && Name.find("%") == std::string::npos)
+    if (Name.rfind("r-", 0) == 0 && Name.find("%") == std::string::npos) {
       ++OutFiles;
+      std::ifstream In(Entry.path());
+      std::string Line;
+      unsigned Lines = 0;
+      while (std::getline(In, Line)) {
+        ++Lines;
+        EXPECT_NE(Line.find("\"state\": \"ok\""), std::string::npos)
+            << Line;
+      }
+      EXPECT_EQ(Lines, 1u);
+    }
     if (Name.rfind("m-", 0) == 0 && Name.find("%") == std::string::npos &&
         Entry.path().extension() == ".json")
       ++MetricFiles;
