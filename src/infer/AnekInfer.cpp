@@ -26,6 +26,7 @@
 #include <memory>
 #include <numeric>
 #include <set>
+#include <unordered_map>
 
 using namespace anek;
 
@@ -37,6 +38,18 @@ const char *anek::solverChoiceName(SolverChoice Choice) {
     return "gibbs";
   case SolverChoice::Exact:
     return "exact";
+  }
+  return "unknown";
+}
+
+const char *anek::phase2EndName(Phase2End End) {
+  switch (End) {
+  case Phase2End::Fixpoint:
+    return "fixpoint";
+  case Phase2End::PickCap:
+    return "pick cap";
+  case Phase2End::Aborted:
+    return "aborted";
   }
   return "unknown";
 }
@@ -103,6 +116,23 @@ void appendReason(MethodReport &Report, std::string Why) {
   Report.Reason += std::move(Why);
 }
 
+/// True when every SOLVE of this run is a pure function of its inputs,
+/// so a repeated input may stand in for a solve. A per-solve time budget
+/// makes outcomes timing-dependent (governed batch requests set one),
+/// and an analysis-perturbing fault changes what a fresh solve computes.
+/// Infrastructure faults (wire corruption, worker crashes) only perturb
+/// transport — the degradation contract absorbs them — so they pass.
+/// The summary cache and the limit-cycle fast-forward both require this.
+bool solvesReplayable(const InferOptions &Opts) {
+  if (Opts.SolveBudgetSeconds > 0.0)
+    return false;
+  return !(faults::anyActive() &&
+           (faults::kindActive(FaultKind::BpNonConvergence) ||
+            faults::kindActive(FaultKind::DeadlineExpiry) ||
+            faults::kindActive(FaultKind::AllocPerturb) ||
+            faults::kindActive(FaultKind::SolveFailure)));
+}
+
 /// Counts one cascade stage entry (Phase-level metrics).
 void countCascadeStage(const char *Stage) {
   if (telemetry::enabled(telemetry::TraceLevel::Phase))
@@ -139,6 +169,8 @@ private:
     MethodIr Ir;
     Pfg G;
   };
+
+  using MethodSet = std::set<MethodDecl *, DeclIndexLess>;
 
   /// One deferred summary write produced by a wave job. Applied by the
   /// scheduling thread only, in declaration order.
@@ -234,6 +266,13 @@ private:
   /// never numbered): shard mode is then unusable and the engine runs
   /// in process.
   bool buildDeclIndexLookup();
+
+  /// Digest of the state at a phase-2 round boundary: every summary's
+  /// evidence (what summaryio::encodeSnapshot serializes) plus the dirty
+  /// and failed sets by declaration index. Every later wave is a function
+  /// of this state (see the fast-forward in run()).
+  uint64_t roundStateDigest(const MethodSet &Dirty,
+                            const MethodSet &Failed) const;
 
   // Incremental summary cache (DESIGN.md, "Incremental inference and the
   // summary cache"). The engine memoizes individual SOLVE invocations:
@@ -693,6 +732,18 @@ bool InferEngine::buildDeclIndexLookup() {
   return true;
 }
 
+uint64_t InferEngine::roundStateDigest(const MethodSet &Dirty,
+                                       const MethodSet &Failed) const {
+  HashStream H;
+  summaryio::hashSnapshot(H, Summaries);
+  for (const MethodSet *Set : {&Dirty, &Failed}) {
+    H.u32(static_cast<uint32_t>(Set->size()));
+    for (const MethodDecl *M : *Set)
+      H.u32(M->DeclIndex);
+  }
+  return H.digest();
+}
+
 namespace {
 
 void hashAnnotation(HashStream &H, const RawAnnotation &A) {
@@ -746,23 +797,10 @@ uint64_t methodContentHash(const MethodDecl &M) {
 
 void InferEngine::prepareCache() {
   Cache = nullptr;
-  if (!Opts.Cache)
-    return;
-  // A per-solve time budget makes solve outcomes timing-dependent, so a
-  // replay is not guaranteed to reproduce a fresh solve. Governed runs
-  // (deadline'd batch requests) therefore never cache.
-  if (Opts.SolveBudgetSeconds > 0.0)
-    return;
-  // Analysis-perturbing faults change what a fresh solve would compute;
-  // caching across them would either launder a faulted result into clean
-  // runs or replay a clean result past an armed fault. Infrastructure
-  // faults (wire corruption, worker crashes) do not perturb results —
-  // the degradation contract absorbs them — so they keep caching on.
-  if (faults::anyActive() &&
-      (faults::kindActive(FaultKind::BpNonConvergence) ||
-       faults::kindActive(FaultKind::DeadlineExpiry) ||
-       faults::kindActive(FaultKind::AllocPerturb) ||
-       faults::kindActive(FaultKind::SolveFailure)))
+  // Caching across a non-replayable solve would either launder a faulted
+  // or timing-cut result into clean runs or replay a clean result past an
+  // armed fault.
+  if (!Opts.Cache || !solvesReplayable(Opts))
     return;
   // Replay resolution is by qualified name; ambiguity would alias
   // entries across distinct methods.
@@ -1217,8 +1255,8 @@ InferResult InferEngine::run() {
     return Status::ok();
   };
 
-  std::set<MethodDecl *, DeclIndexLess> Dirty;
-  std::set<MethodDecl *, DeclIndexLess> FailedMethods;
+  MethodSet Dirty;
+  MethodSet FailedMethods;
   for (const auto &Wave : Waves)
     for (MethodDecl *M : Wave)
       if (Data.count(M))
@@ -1228,11 +1266,89 @@ InferResult InferEngine::run() {
   // which round or wave a method happened to fail in.
   MethodDeclMap<std::string> BufferedWarnings;
 
+  // Limit-cycle fast-forward. Jobs read only the frozen summary store
+  // and merges run in declaration order, so the state at a round start
+  // (summary evidence, dirty set, failed set) determines every later
+  // wave. When a round starts in a state an earlier round started in, the
+  // run is in a periodic orbit: every further period repeats the same
+  // picks with the same outcomes. Whole periods up to the pick cap are
+  // then credited without solving and only the remainder runs, so the
+  // run ends at the same cap, in the same state, with the same
+  // accounting. This needs replayable solves, and declaration indices
+  // that name methods uniquely (the digest identifies methods by them;
+  // Summaries holds every method, sorted by index).
+  struct RoundStart {
+    unsigned Round, WaveIndex, Picks, Variables, Factors, FallbackSolves;
+  };
+  std::unordered_map<uint64_t, RoundStart> RoundStarts;
+  // Per round while watching: which declaration indices it picked. A
+  // method sits in one wave, so a round picks it at most once.
+  std::vector<std::vector<bool>> Picked;
+  bool WatchCycle =
+      solvesReplayable(Opts) &&
+      std::adjacent_find(Summaries.begin(), Summaries.end(),
+                         [](const auto &A, const auto &B) {
+                           return A.first->DeclIndex == B.first->DeclIndex;
+                         }) == Summaries.end();
+
   unsigned Round = 0, WaveIndex = 0;
   while (!Dirty.empty() && Result.WorklistPicks < MaxIters &&
          Result.Aborted.isOk()) {
+    if (WatchCycle) {
+      const RoundStart Now{Round,
+                           WaveIndex,
+                           Result.WorklistPicks,
+                           Result.TotalVariables,
+                           Result.TotalFactors,
+                           Result.FallbackSolves};
+      auto [Seen, Fresh] =
+          RoundStarts.emplace(roundStateDigest(Dirty, FailedMethods), Now);
+      if (!Fresh) {
+        // Round Now.Round ended where round Then.Round ended. Every
+        // completed round ran uncapped, so each period is PeriodPicks
+        // picks and Periods more whole ones fit under the cap. No pick
+        // in a period failed (the failed set is part of the state), so
+        // each added one solve to its method's report.
+        const RoundStart &Then = Seen->second;
+        const unsigned PeriodRounds = Now.Round - Then.Round;
+        const unsigned PeriodPicks = Now.Picks - Then.Picks;
+        assert(PeriodPicks != 0 && "a completed round picks something");
+        const unsigned Periods = (MaxIters - Now.Picks) / PeriodPicks;
+        Result.CyclePeriodRounds = PeriodRounds;
+        Result.CycleDetectedRound = Now.Round;
+        Result.FastForwardedPicks = Periods * PeriodPicks;
+        Result.WorklistPicks += Result.FastForwardedPicks;
+        Result.TotalVariables += Periods * (Now.Variables - Then.Variables);
+        Result.TotalFactors += Periods * (Now.Factors - Then.Factors);
+        Result.FallbackSolves +=
+            Periods * (Now.FallbackSolves - Then.FallbackSolves);
+        for (unsigned R = Then.Round; R != Now.Round; ++R)
+          for (auto &[M, Report] : Reports)
+            if (Picked[R][M->DeclIndex])
+              Report.Solves += Periods;
+        // Trace round and wave numbers stay those of the solved run.
+        Round += Periods * PeriodRounds;
+        WaveIndex += Periods * (Now.WaveIndex - Then.WaveIndex);
+        if (telemetry::enabled(telemetry::TraceLevel::Phase))
+          telemetry::instant(
+              "infer.fast_forward", telemetry::TraceLevel::Phase, "infer",
+              formatStr("\"detected_round\":%u,\"period_rounds\":%u,"
+                        "\"period_picks\":%u,\"periods\":%u,"
+                        "\"picks\":%u",
+                        Result.CycleDetectedRound, PeriodRounds,
+                        PeriodPicks, Periods, Result.FastForwardedPicks));
+        // Later round starts can only repeat the same orbit, with fewer
+        // than one period left: stop digesting.
+        WatchCycle = false;
+        RoundStarts.clear();
+        Picked = {};
+        continue; // Re-check the cap before the remainder.
+      }
+    }
     bool AnyRun = false;
     ++Round;
+    if (WatchCycle)
+      Picked.emplace_back(Summaries.rbegin()->first->DeclIndex + 1, false);
     for (const auto &Wave : Waves) {
       // Wave boundary: the only place a governed run may be cut short.
       if (Status S = AbortStatus(); !S) {
@@ -1438,6 +1554,8 @@ InferResult InferEngine::run() {
         unsigned PrevSolves = 0;
         if (auto It = Reports.find(M); It != Reports.end())
           PrevSolves = It->second.Solves;
+        if (WatchCycle)
+          Picked.back()[M->DeclIndex] = true;
         Out.Report.Solves += PrevSolves;
         if (Out.Failed) {
           Out.Report.Failed = true;
@@ -1497,8 +1615,18 @@ InferResult InferEngine::run() {
     if (Diags)
       Diags->warning(M->Loc, Message);
   Result.MethodsAnalyzed = static_cast<unsigned>(Bodies.size());
-  if (Phase2.active())
+  for (MethodDecl *M : Dirty)
+    if (!FailedMethods.count(M))
+      ++Result.DirtyAtExit;
+  Result.Ending = !Result.Aborted.isOk() ? Phase2End::Aborted
+                  : Result.DirtyAtExit   ? Phase2End::PickCap
+                                         : Phase2End::Fixpoint;
+  if (Phase2.active()) {
     Phase2.arg("picks", Result.WorklistPicks);
+    Phase2.arg("ending", phase2EndName(Result.Ending));
+    Phase2.arg("dirty_at_exit", Result.DirtyAtExit);
+    Phase2.arg("fastforward_picks", Result.FastForwardedPicks);
+  }
   Phase2.close();
 
   telemetry::Span Phase3("infer.phase3.extract",
@@ -1559,6 +1687,10 @@ InferResult InferEngine::run() {
         .add(Result.MethodsAnalyzed);
     telemetry::counter("infer.methods_failed").add(Result.MethodsFailed);
     telemetry::counter("infer.fallback_solves").add(Result.FallbackSolves);
+    telemetry::counter("infer.fastforward_picks")
+        .add(Result.FastForwardedPicks);
+    telemetry::counter("infer.cycle_period_rounds")
+        .add(Result.CyclePeriodRounds);
     telemetry::counter("infer.specs_inferred")
         .add(Result.Inferred.size());
   }

@@ -110,7 +110,9 @@ public:
 /// Tunables of the inference (paper Sections 3.3-3.4).
 struct InferOptions {
   /// Worklist picks (Figure 9's MaxIters). 0 means 3 passes over the
-  /// methods with bodies.
+  /// methods with bodies. Once a round-boundary state repeats, whole
+  /// periods of the cycle count toward it without being solved
+  /// (InferResult::FastForwardedPicks).
   unsigned MaxIters = 0;
   /// Extraction threshold t in [0.5, 1).
   double Threshold = 0.7;
@@ -193,6 +195,19 @@ struct InferOptions {
   SolveCache *Cache = nullptr;
 };
 
+/// How phase 2's worklist loop ended.
+enum class Phase2End {
+  /// No method was left dirty: the summaries stopped moving.
+  Fixpoint,
+  /// The loop stopped at the MaxIters pick cap with methods still dirty.
+  PickCap,
+  /// InferOptions::Cancel or RunBudget cut the run short.
+  Aborted,
+};
+
+/// Renders a Phase2End as "fixpoint"/"pick cap"/"aborted".
+const char *phase2EndName(Phase2End End);
+
 /// How one method's SOLVE step went, cascade decisions included.
 struct MethodReport {
   /// The solver whose marginals were actually used (last solve).
@@ -234,6 +249,23 @@ struct InferResult {
   unsigned TotalVariables = 0;
   unsigned TotalFactors = 0;
   double SolveSeconds = 0.0;
+
+  // How phase 2 ended (DESIGN.md, "Concurrency model").
+  Phase2End Ending = Phase2End::Fixpoint;
+  /// Methods still dirty (queued, not failed) when phase 2 ended; 0 at a
+  /// fixpoint.
+  unsigned DirtyAtExit = 0;
+  /// Length in rounds of the limit cycle phase 2 entered: the state at
+  /// the end of round CycleDetectedRound equals the state at the end of
+  /// round CycleDetectedRound - CyclePeriodRounds (round 0 ends before
+  /// the first pick). Both 0 when no round-boundary state repeated.
+  unsigned CyclePeriodRounds = 0;
+  unsigned CycleDetectedRound = 0;
+  /// Picks of whole cycle periods that were credited without solving.
+  /// Already counted in WorklistPicks (and their model sizes and solve
+  /// counts in TotalVariables, TotalFactors, FallbackSolves and
+  /// Reports); they add nothing to SolveSeconds.
+  unsigned FastForwardedPicks = 0;
 
   /// Sharded-execution counters; all zero unless InferOptions::ShardExec
   /// was set. ShardsQuarantined != 0 or WavesDegraded != 0 means the run

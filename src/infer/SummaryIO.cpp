@@ -2,6 +2,7 @@
 
 #include "infer/SummaryIO.h"
 
+#include "support/Hash.h"
 #include "support/WireFormat.h"
 
 #include <map>
@@ -48,8 +49,10 @@ Status corrupt(const std::string &What) {
 // Snapshot payload
 //===----------------------------------------------------------------------===//
 
-void encodeTarget(wire::Writer &W,
-                  const std::optional<TargetSummary> &Target) {
+/// Writes one target's evidence to \p W: a wire::Writer when encoding, a
+/// HashStream when digesting (both take the same u8/u32/f64 calls).
+template <typename Sink>
+void writeTarget(Sink &W, const std::optional<TargetSummary> &Target) {
   W.u8(Target.has_value() ? 1 : 0);
   if (!Target)
     return;
@@ -260,23 +263,38 @@ const char *summaryio::summaryTargetRoleName(SummaryTargetRole Role) {
 // Snapshot
 //===----------------------------------------------------------------------===//
 
-std::string
-summaryio::encodeSnapshot(const MethodDeclMap<MethodSummary> &Summaries) {
-  wire::Writer W;
+namespace {
+
+/// The snapshot payload, written to a wire::Writer or a HashStream.
+template <typename Sink>
+void writeSnapshot(Sink &W, const MethodDeclMap<MethodSummary> &Summaries) {
   W.u32(static_cast<uint32_t>(Summaries.size()));
   for (const auto &[Method, Summary] : Summaries) {
     W.u32(Method->DeclIndex);
-    encodeTarget(W, Summary.RecvPre);
-    encodeTarget(W, Summary.RecvPost);
+    writeTarget(W, Summary.RecvPre);
+    writeTarget(W, Summary.RecvPost);
     W.u32(static_cast<uint32_t>(Summary.ParamPre.size()));
     for (const auto &Target : Summary.ParamPre)
-      encodeTarget(W, Target);
+      writeTarget(W, Target);
     W.u32(static_cast<uint32_t>(Summary.ParamPost.size()));
     for (const auto &Target : Summary.ParamPost)
-      encodeTarget(W, Target);
-    encodeTarget(W, Summary.Result);
+      writeTarget(W, Target);
+    writeTarget(W, Summary.Result);
   }
+}
+
+} // namespace
+
+std::string
+summaryio::encodeSnapshot(const MethodDeclMap<MethodSummary> &Summaries) {
+  wire::Writer W;
+  writeSnapshot(W, Summaries);
   return sealBlob(BlobKind::Snapshot, W.take());
+}
+
+void summaryio::hashSnapshot(HashStream &H,
+                             const MethodDeclMap<MethodSummary> &Summaries) {
+  writeSnapshot(H, Summaries);
 }
 
 Status summaryio::decodeSnapshot(std::string_view Blob,

@@ -47,6 +47,9 @@
 #include <vector>
 
 namespace anek {
+
+class HashStream;
+
 namespace summaryio {
 
 /// Bump on any layout change; decoders reject every other version. The
@@ -145,6 +148,11 @@ struct ShardMethodOutcome {
 /// Iteration is declaration-index order (MethodDeclMap) and each target
 /// keeps its sites in CallSiteOrder, so equal stores encode to equal bytes.
 std::string encodeSnapshot(const MethodDeclMap<MethodSummary> &Summaries);
+
+/// Folds the payload encodeSnapshot would serialize into \p H without
+/// building the blob: equal stores hash equal, and any bit of evidence
+/// that differs changes the digest (up to 64-bit collisions).
+void hashSnapshot(HashStream &H, const MethodDeclMap<MethodSummary> &Summaries);
 
 /// Overlays a snapshot blob onto \p Summaries, a skeleton store built
 /// over the *same program* with the same SpecHi/SpecLo (so shapes and

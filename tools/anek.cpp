@@ -446,7 +446,7 @@ bool loadSource(const std::string &Arg, bool IsExample, std::string &Out) {
 }
 
 /// One line per analyzed method: which solver's marginals were used and
-/// how the cascade got there.
+/// how the cascade got there, then one line on how phase 2 ended.
 void printReports(const InferResult &Inference) {
   for (const auto &[M, Report] : Inference.Reports) {
     if (Report.Failed) {
@@ -463,6 +463,14 @@ void printReports(const InferResult &Inference) {
                 Report.Reason.empty() ? "" : " reason: ",
                 Report.Reason.c_str());
   }
+  std::printf("// phase 2: %s, %u dirty at exit",
+              phase2EndName(Inference.Ending), Inference.DirtyAtExit);
+  if (Inference.CyclePeriodRounds)
+    std::printf(", %u-round cycle detected after round %u, %u pick(s) "
+                "fast-forwarded",
+                Inference.CyclePeriodRounds, Inference.CycleDetectedRound,
+                Inference.FastForwardedPicks);
+  std::printf("\n");
 }
 
 /// Set by the SIGINT/SIGTERM handler; the batch runner polls it and
