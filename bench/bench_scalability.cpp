@@ -3,7 +3,8 @@
 // Paper Sections 1/3.4: the modular algorithm exists because whole-program
 // inference "lacks scalability, since the entire program must be analyzed
 // at once." This bench sweeps corpus size and times ANEK-INFER (one pass)
-// against the joint Definition 1 solve.
+// against the joint Definition 1 solve, sweeps the thread count, and
+// gates the cost of phase-level telemetry at 5% of median run time.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,6 +13,7 @@
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -32,6 +34,43 @@ std::string fingerprint(const InferResult &R) {
         << printSpecSide(Spec, /*IsRequires=*/false, Params) << "};";
   }
   return Out.str();
+}
+
+double median(std::vector<double> V) {
+  std::sort(V.begin(), V.end());
+  return V[V.size() / 2];
+}
+
+/// Median run time with telemetry off and at phase level, from
+/// interleaved rounds so machine drift hits both sides equally.
+struct OverheadSample {
+  double OffMedianSeconds = 0.0;
+  double OnMedianSeconds = 0.0;
+  double ratio() const {
+    return OffMedianSeconds > 0.0 ? OnMedianSeconds / OffMedianSeconds : 0.0;
+  }
+};
+
+OverheadSample measureTelemetryOverhead(const std::string &Source,
+                                        unsigned Jobs, unsigned Rounds) {
+  const telemetry::TraceLevel Saved = telemetry::traceLevel();
+  std::unique_ptr<Program> Prog = mustAnalyze(Source);
+  InferOptions Opts;
+  Opts.Parallelism = Jobs;
+  std::vector<double> Off, On;
+  for (unsigned R = 0; R != Rounds; ++R) {
+    for (auto Level :
+         {telemetry::TraceLevel::Off, telemetry::TraceLevel::Phase}) {
+      telemetry::setTraceLevel(Level);
+      Timer T;
+      runAnekInfer(*Prog, Opts);
+      (Level == telemetry::TraceLevel::Off ? Off : On).push_back(T.seconds());
+    }
+    // Drain the collected round so buffers never grow across rounds.
+    telemetry::resetTrace();
+  }
+  telemetry::setTraceLevel(Saved);
+  return {median(Off), median(On)};
 }
 
 } // namespace
@@ -146,7 +185,26 @@ int main() {
          << ", \"speedup\": " << Sweep[I].Speedup
          << ", \"identical\": " << (Sweep[I].Identical ? "true" : "false")
          << "}" << (I + 1 == Sweep.size() ? "\n" : ",\n");
-  Json << "  ]\n}\n";
+  Json << "  ],\n";
+
+  // Telemetry must not perturb what it observes: phase-level collection
+  // may cost at most 5% of median run time.
+  const OverheadSample Overhead =
+      measureTelemetryOverhead(SweepCorpus.Source, /*Jobs=*/2,
+                               /*Rounds=*/10);
+  const double OverheadPct = (Overhead.ratio() - 1.0) * 100.0;
+  const bool GateOk = Overhead.ratio() <= 1.05;
+  std::printf("\nTelemetry overhead (-j2, interleaved off/phase rounds, "
+              "medians)\n");
+  std::printf("  off %.4fs   on %.4fs   overhead %+.1f%%   gate <=+5%% "
+              "[%s]\n",
+              Overhead.OffMedianSeconds, Overhead.OnMedianSeconds,
+              OverheadPct, GateOk ? "ok" : "EXCEEDED");
+  Json << "  \"telemetry_overhead\": {\"off_median_s\": "
+       << Overhead.OffMedianSeconds
+       << ", \"on_median_s\": " << Overhead.OnMedianSeconds
+       << ", \"ratio\": " << Overhead.ratio()
+       << ", \"gate_ok\": " << (GateOk ? "true" : "false") << "}\n}\n";
   std::puts("Sweep written to bench_scalability.json; speedup is"
             " meaningful only when the\nmachine has that many hardware"
             " threads, identity must hold everywhere.");
@@ -154,5 +212,10 @@ int main() {
   bool AllIdentical = true;
   for (const SweepPoint &Point : Sweep)
     AllIdentical = AllIdentical && Point.Identical;
-  return AllIdentical ? 0 : 1;
+  if (!GateOk)
+    std::fprintf(stderr,
+                 "bench_scalability: telemetry overhead %.1f%% exceeds the "
+                 "5%% gate\n",
+                 OverheadPct);
+  return AllIdentical && GateOk ? 0 : 1;
 }

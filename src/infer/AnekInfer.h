@@ -28,14 +28,12 @@
 #include "factor/Solvers.h"
 #include "infer/SolveCache.h"
 #include "infer/Summary.h"
-#include "infer/SummaryIO.h"
 #include "lang/Ast.h"
 #include "support/Cancel.h"
 #include "support/Deadline.h"
 #include "support/Diagnostics.h"
 #include "support/MemTrack.h"
 
-#include <map>
 #include <memory>
 
 namespace anek {
@@ -47,65 +45,6 @@ enum class SolverChoice { SumProduct, Gibbs, Exact };
 
 /// Renders a SolverChoice as "bp"/"gibbs"/"exact".
 const char *solverChoiceName(SolverChoice Choice);
-
-/// Counters of the sharded execution tier (src/shard/), carried in
-/// InferResult so the serving layer can classify a run that survived
-/// worker losses as degraded rather than silently clean.
-struct ShardStats {
-  /// Wave batches the executor ran remotely.
-  unsigned WavesRemote = 0;
-  /// Waves that fell back to in-process execution after the executor
-  /// failed outright or returned an unusable result.
-  unsigned WavesDegraded = 0;
-  /// Shard dispatches to worker processes, re-dispatches included.
-  unsigned ShardsDispatched = 0;
-  /// Dispatches that were retries after a worker loss.
-  unsigned Redispatches = 0;
-  /// Worker sessions lost: failed to open, crashed, hung past the
-  /// heartbeat deadline, or recycled after an unreadable frame.
-  unsigned WorkersLost = 0;
-  /// Local worker processes spawned (and handshaken).
-  unsigned WorkersSpawned = 0;
-  /// Shards that exhausted their loss budget and were degraded to
-  /// in-process sequential execution (terminal state
-  /// degraded(shard-quarantine); the work is never lost).
-  unsigned ShardsQuarantined = 0;
-  /// Dispatches served by remote worker daemons; the rest ran on local
-  /// worker processes.
-  unsigned RemoteDispatches = 0;
-  /// Sessions a worker slot opened after its first — the reopen-after-
-  /// loss path, remote or local.
-  unsigned Reconnects = 0;
-};
-
-/// Executes wave batches outside the engine's own process. The engine
-/// stays in charge of the algorithm — wave composition, the frozen
-/// snapshot, merge order — and delegates only the embarrassingly
-/// parallel middle: "analyze these methods against this snapshot".
-///
-/// The contract that keeps `--shards N` byte-identical to `-j1`:
-/// executeWave receives a declaration-ordered batch plus a sealed
-/// summary snapshot (summaryio::encodeSnapshot) and must return exactly
-/// one outcome per requested method, computed as runShardMethods would
-/// compute it with the same options. Outcomes may arrive in any order
-/// (the engine re-sorts into batch order before merging) and may be
-/// computed anywhere, any number of attempts deep — re-dispatch after a
-/// crash re-runs against the same snapshot, so retries are invisible in
-/// the result. An error return degrades the wave to in-process
-/// execution; it never fails the run.
-class WaveShardExecutor {
-public:
-  virtual ~WaveShardExecutor() = default;
-
-  /// Analyzes the methods named by \p DeclIndices against \p Snapshot.
-  virtual Expected<std::vector<summaryio::ShardMethodOutcome>>
-  executeWave(const std::vector<unsigned> &DeclIndices,
-              const std::string &Snapshot) = 0;
-
-  /// Dispatch-side counters accumulated so far (WavesRemote/WavesDegraded
-  /// are filled by the engine; implementations report the rest).
-  virtual ShardStats stats() const { return {}; }
-};
 
 /// Tunables of the inference (paper Sections 3.3-3.4).
 struct InferOptions {
@@ -173,14 +112,6 @@ struct InferOptions {
   /// without perturbing concurrent requests over the same program.
   std::string FaultScope;
 
-  // Sharded execution (DESIGN.md, "Sharded execution and failure model").
-  /// When set, wave batches are handed to this executor (normally a
-  /// shard::ShardCoordinator farming the batch to worker processes)
-  /// instead of the in-process scheduler. Requires globally unique
-  /// declaration indices (any Sema-checked program); the engine verifies
-  /// and silently runs in process otherwise. Never set in a worker.
-  WaveShardExecutor *ShardExec = nullptr;
-
   // Incremental summary cache (DESIGN.md, "Incremental inference and the
   // summary cache").
   /// When set, the engine memoizes SOLVE invocations through this cache:
@@ -190,8 +121,7 @@ struct InferOptions {
   /// — a per-solve time budget (SolveBudgetSeconds > 0 makes solve
   /// results timing-dependent), ambiguous qualified method names, or an
   /// armed analysis-perturbing fault — because a replay would then not be
-  /// guaranteed to reproduce what a fresh solve would compute. Never set
-  /// in a shard worker.
+  /// guaranteed to reproduce what a fresh solve would compute.
   SolveCache *Cache = nullptr;
 };
 
@@ -267,12 +197,6 @@ struct InferResult {
   /// Reports); they add nothing to SolveSeconds.
   unsigned FastForwardedPicks = 0;
 
-  /// Sharded-execution counters; all zero unless InferOptions::ShardExec
-  /// was set. ShardsQuarantined != 0 or WavesDegraded != 0 means the run
-  /// survived infrastructure failures by degrading (results are still
-  /// byte-identical to -j1 by the executor contract).
-  ShardStats Shard;
-
   /// Summary-cache accounting; all zero unless InferOptions::Cache was
   /// set and usable. Corrupt != 0 means entries failed validation and
   /// were re-inferred (a cache integrity problem is never a run error).
@@ -301,21 +225,6 @@ struct InferResult {
 /// the rest of the program is still inferred.
 InferResult runAnekInfer(Program &Prog, const InferOptions &Opts = {},
                          DiagnosticEngine *Diags = nullptr);
-
-/// Worker-side shard entry (`anek --worker`, src/shard/): analyzes the
-/// methods named by \p DeclIndices — sequentially, in declaration-index
-/// order — against the frozen summary \p Snapshot and returns their wire
-/// outcomes. \p Opts must carry the same algorithm knobs (solver,
-/// cascade, SpecHi/SpecLo, seed, constraints) as the coordinating run:
-/// given that, the outcomes are byte-for-byte the evidence the
-/// coordinator's own scheduler would have produced for the same wave.
-/// A method that fails analysis yields a Failed outcome (merged as a
-/// skip); the call itself errors only on structural problems — an
-/// unknown declaration index or a snapshot that does not decode against
-/// this program.
-Expected<std::vector<summaryio::ShardMethodOutcome>>
-runShardMethods(Program &Prog, const std::vector<unsigned> &DeclIndices,
-                const std::string &Snapshot, const InferOptions &Opts);
 
 } // namespace anek
 

@@ -18,9 +18,9 @@
 /// method changes its SCC's content hash, which changes the chain hashes
 /// of every transitive caller, so exactly the reachable waves miss.
 ///
-/// The interface lives in src/infer (like WaveShardExecutor) so the
-/// engine does not depend on the storage backend; the on-disk
-/// implementation is src/cache/SummaryCache, injected by the driver.
+/// The interface lives in src/infer so the engine does not depend on
+/// the storage backend; the on-disk implementation is
+/// src/cache/SummaryCache, injected by the driver.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,9 +58,9 @@ struct CachedUpdate {
 };
 
 /// Everything one successful SOLVE invocation produced: the MethodReport
-/// mirror plus the deferred updates and accounting, exactly the shape of
-/// summaryio::ShardMethodOutcome minus the failure fields (failed solves
-/// are never cached — a failure must re-run, not replay).
+/// mirror plus the deferred updates and accounting. There are no failure
+/// fields: failed solves are never cached (a failure must re-run, not
+/// replay).
 struct CachedSolve {
   uint8_t SolverUsed = 0; ///< SolverChoice as its enum value.
   bool FallbackUsed = false;

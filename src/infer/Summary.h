@@ -53,11 +53,11 @@ struct CallSiteOrder {
   }
 };
 
-/// Read access to TargetSummary's evidence internals for the wire codec
-/// (SummaryIO.cpp). Serialization must see the raw odds multipliers, not
-/// the pooled probabilities: pooling is a lossy float reduction, and the
-/// shard determinism contract needs the exact operands to cross the
-/// process boundary bit-for-bit.
+/// Read access to TargetSummary's evidence internals for the snapshot
+/// codec (SummaryIO.cpp). Serialization must see the raw odds
+/// multipliers, not the pooled probabilities: pooling is a lossy float
+/// reduction, and the limit-cycle digest must tell apart any two stores
+/// whose evidence differs in a single bit.
 struct SummaryWireAccess;
 
 /// Evidence-pooled marginals for one interface target.

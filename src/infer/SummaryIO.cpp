@@ -5,8 +5,6 @@
 #include "support/Hash.h"
 #include "support/WireFormat.h"
 
-#include <map>
-
 using namespace anek;
 using namespace anek::summaryio;
 
@@ -23,11 +21,6 @@ struct SummaryWireAccess {
   }
   static const std::vector<double> &siteOdds(const TargetSummary &T) {
     return T.SiteOdds;
-  }
-  /// Stores one decoded site; sites arriving in CallSiteOrder append.
-  static void storeSite(TargetSummary &T, const CallSiteKey &Site,
-                        const std::vector<double> &Odds) {
-    T.storeSite(Site, Odds);
   }
 };
 
@@ -72,65 +65,8 @@ void writeTarget(Sink &W, const std::optional<TargetSummary> &Target) {
   }
 }
 
-/// Decl-index lookup built from the store's own keys: snapshots may only
-/// reference methods both sides know about.
-using DeclLookup = std::map<uint32_t, const MethodDecl *>;
-
-Status decodeTarget(wire::Reader &R, std::optional<TargetSummary> &Target,
-                    const DeclLookup &Decls, const std::string &Where) {
-  uint8_t Present = 0;
-  if (!R.u8(Present))
-    return corrupt("truncated at " + Where);
-  if ((Present != 0) != Target.has_value())
-    return corrupt("target presence mismatch at " + Where +
-                   " (the snapshot and the local program disagree about "
-                   "which interface positions are object-typed)");
-  if (!Present)
-    return Status::ok();
-
-  uint32_t Size = 0;
-  if (!R.u32(Size))
-    return corrupt("truncated at " + Where);
-  if (Size != Target->size())
-    return corrupt("target arity mismatch at " + Where + " (snapshot says " +
-                   std::to_string(Size) + " variables, local summary has " +
-                   std::to_string(Target->size()) + ")");
-
-  uint32_t SelfCount = 0;
-  if (!R.count(SelfCount, 8))
-    return corrupt("truncated self odds at " + Where);
-  if (SelfCount != 0 && SelfCount != Size)
-    return corrupt("self odds arity mismatch at " + Where);
-  if (SelfCount != 0) {
-    std::vector<double> Odds(SelfCount);
-    for (double &O : Odds)
-      if (!R.f64(O))
-        return corrupt("truncated self odds at " + Where);
-    Target->setSelfOdds(std::move(Odds));
-  }
-
-  uint32_t SiteCount = 0;
-  if (!R.count(SiteCount, 8))
-    return corrupt("truncated site list at " + Where);
-  for (uint32_t I = 0; I != SiteCount; ++I) {
-    uint32_t CallerIndex = 0, SiteIndex = 0;
-    if (!R.u32(CallerIndex) || !R.u32(SiteIndex))
-      return corrupt("truncated site key at " + Where);
-    auto Caller = Decls.find(CallerIndex);
-    if (Caller == Decls.end())
-      return corrupt("site at " + Where + " references unknown method #" +
-                     std::to_string(CallerIndex));
-    std::vector<double> Odds(Size);
-    for (double &O : Odds)
-      if (!R.f64(O))
-        return corrupt("truncated site odds at " + Where);
-    SummaryWireAccess::storeSite(*Target, {Caller->second, SiteIndex}, Odds);
-  }
-  return Status::ok();
-}
-
 //===----------------------------------------------------------------------===//
-// Outcome payload
+// Cache-entry payload
 //===----------------------------------------------------------------------===//
 
 void encodeSolveReport(wire::Writer &W, const SolveReport &Solve) {
@@ -153,38 +89,6 @@ bool decodeSolveReport(wire::Reader &R, SolveReport &Solve) {
   Solve.DeadlineExpired = DeadlineExpired != 0;
   Solve.Iterations = static_cast<unsigned>(Iterations);
   return Ok;
-}
-
-void encodeUpdate(wire::Writer &W, const SummaryUpdate &U) {
-  W.u32(U.OwnerDeclIndex);
-  W.u8(static_cast<uint8_t>(U.Role));
-  W.u32(U.ParamIndex);
-  W.u8(U.IsSelf ? 1 : 0);
-  W.u32(U.SiteCallerDeclIndex);
-  W.u32(U.SiteIndex);
-  W.u32(static_cast<uint32_t>(U.Odds.size()));
-  for (double O : U.Odds)
-    W.f64(O);
-  W.str(U.DebugLine);
-}
-
-bool decodeUpdate(wire::Reader &R, SummaryUpdate &U) {
-  uint8_t Role = 0, IsSelf = 0;
-  if (!(R.u32(U.OwnerDeclIndex) && R.u8(Role) && R.u32(U.ParamIndex) &&
-        R.u8(IsSelf) && R.u32(U.SiteCallerDeclIndex) && R.u32(U.SiteIndex)))
-    return false;
-  if (Role > static_cast<uint8_t>(SummaryTargetRole::Result))
-    return false;
-  U.Role = static_cast<SummaryTargetRole>(Role);
-  U.IsSelf = IsSelf != 0;
-  uint32_t OddsCount = 0;
-  if (!R.count(OddsCount, 8))
-    return false;
-  U.Odds.resize(OddsCount);
-  for (double &O : U.Odds)
-    if (!R.f64(O))
-      return false;
-  return R.str(U.DebugLine);
 }
 
 } // namespace
@@ -243,22 +147,6 @@ Expected<std::string> summaryio::openBlob(std::string_view Blob,
   return std::string(Payload);
 }
 
-const char *summaryio::summaryTargetRoleName(SummaryTargetRole Role) {
-  switch (Role) {
-  case SummaryTargetRole::RecvPre:
-    return "recv-pre";
-  case SummaryTargetRole::RecvPost:
-    return "recv-post";
-  case SummaryTargetRole::ParamPre:
-    return "param-pre";
-  case SummaryTargetRole::ParamPost:
-    return "param-post";
-  case SummaryTargetRole::Result:
-    return "result";
-  }
-  return "unknown";
-}
-
 //===----------------------------------------------------------------------===//
 // Snapshot
 //===----------------------------------------------------------------------===//
@@ -295,129 +183,6 @@ summaryio::encodeSnapshot(const MethodDeclMap<MethodSummary> &Summaries) {
 void summaryio::hashSnapshot(HashStream &H,
                              const MethodDeclMap<MethodSummary> &Summaries) {
   writeSnapshot(H, Summaries);
-}
-
-Status summaryio::decodeSnapshot(std::string_view Blob,
-                                 MethodDeclMap<MethodSummary> &Summaries) {
-  Expected<std::string> Payload = openBlob(Blob, BlobKind::Snapshot);
-  if (!Payload)
-    return Payload.status();
-
-  DeclLookup Decls;
-  for (const auto &[Method, Summary] : Summaries)
-    Decls.emplace(Method->DeclIndex, Method);
-
-  wire::Reader R(*Payload);
-  uint32_t MethodCount = 0;
-  if (!R.count(MethodCount, 4))
-    return corrupt("truncated method count");
-  if (MethodCount != Summaries.size())
-    return corrupt("method count mismatch (snapshot has " +
-                   std::to_string(MethodCount) + ", local store has " +
-                   std::to_string(Summaries.size()) + ")");
-  for (uint32_t I = 0; I != MethodCount; ++I) {
-    uint32_t DeclIndex = 0;
-    if (!R.u32(DeclIndex))
-      return corrupt("truncated method record");
-    auto Decl = Decls.find(DeclIndex);
-    if (Decl == Decls.end())
-      return corrupt("snapshot references unknown method #" +
-                     std::to_string(DeclIndex));
-    MethodSummary &Summary = Summaries[Decl->second];
-    const std::string Where = Decl->second->qualifiedName();
-    if (Status S = decodeTarget(R, Summary.RecvPre, Decls, Where + "/recv-pre");
-        !S)
-      return S;
-    if (Status S =
-            decodeTarget(R, Summary.RecvPost, Decls, Where + "/recv-post");
-        !S)
-      return S;
-    for (auto [Vec, Tag] :
-         {std::pair(&Summary.ParamPre, "/param-pre"),
-          std::pair(&Summary.ParamPost, "/param-post")}) {
-      uint32_t ParamCount = 0;
-      if (!R.count(ParamCount, 1))
-        return corrupt("truncated parameter count at " + Where);
-      if (ParamCount != Vec->size())
-        return corrupt("parameter count mismatch at " + Where + Tag);
-      for (uint32_t P = 0; P != ParamCount; ++P)
-        if (Status S = decodeTarget(R, (*Vec)[P], Decls,
-                                    Where + Tag + "#" + std::to_string(P));
-            !S)
-          return S;
-    }
-    if (Status S = decodeTarget(R, Summary.Result, Decls, Where + "/result");
-        !S)
-      return S;
-  }
-  if (!R.done())
-    return corrupt("trailing bytes after the last method record");
-  return Status::ok();
-}
-
-//===----------------------------------------------------------------------===//
-// Outcomes
-//===----------------------------------------------------------------------===//
-
-std::string
-summaryio::encodeOutcomes(const std::vector<ShardMethodOutcome> &Outcomes) {
-  wire::Writer W;
-  W.u32(static_cast<uint32_t>(Outcomes.size()));
-  for (const ShardMethodOutcome &O : Outcomes) {
-    W.u32(O.DeclIndex);
-    W.u8(O.Failed ? 1 : 0);
-    W.str(O.Error);
-    W.u8(O.SolverUsed);
-    W.u8(O.FallbackUsed ? 1 : 0);
-    W.str(O.Reason);
-    encodeSolveReport(W, O.Solve);
-    W.u32(O.Solves);
-    W.u64(O.Variables);
-    W.u64(O.Factors);
-    W.f64(O.SolveSeconds);
-    W.u32(static_cast<uint32_t>(O.Updates.size()));
-    for (const SummaryUpdate &U : O.Updates)
-      encodeUpdate(W, U);
-  }
-  return sealBlob(BlobKind::Outcomes, W.take());
-}
-
-Expected<std::vector<ShardMethodOutcome>>
-summaryio::decodeOutcomes(std::string_view Blob) {
-  Expected<std::string> Payload = openBlob(Blob, BlobKind::Outcomes);
-  if (!Payload)
-    return Payload.status();
-  wire::Reader R(*Payload);
-  uint32_t Count = 0;
-  if (!R.count(Count, 4))
-    return corrupt("truncated outcome count");
-  std::vector<ShardMethodOutcome> Outcomes(Count);
-  for (ShardMethodOutcome &O : Outcomes) {
-    uint8_t Failed = 0, FallbackUsed = 0;
-    if (!(R.u32(O.DeclIndex) && R.u8(Failed) && R.str(O.Error) &&
-          R.u8(O.SolverUsed) && R.u8(FallbackUsed) && R.str(O.Reason)))
-      return corrupt("truncated outcome record");
-    O.Failed = Failed != 0;
-    O.FallbackUsed = FallbackUsed != 0;
-    if (!decodeSolveReport(R, O.Solve))
-      return corrupt("truncated solve report");
-    uint64_t Variables = 0, Factors = 0;
-    if (!(R.u32(O.Solves) && R.u64(Variables) && R.u64(Factors) &&
-          R.f64(O.SolveSeconds)))
-      return corrupt("truncated outcome statistics");
-    O.Variables = Variables;
-    O.Factors = Factors;
-    uint32_t UpdateCount = 0;
-    if (!R.count(UpdateCount, 16))
-      return corrupt("truncated update count");
-    O.Updates.resize(UpdateCount);
-    for (SummaryUpdate &U : O.Updates)
-      if (!decodeUpdate(R, U))
-        return corrupt("truncated summary update");
-  }
-  if (!R.done())
-    return corrupt("trailing bytes after the last outcome");
-  return Outcomes;
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,34 +1,27 @@
-//===- SummaryIO.h - Versioned wire codec for summaries ----------*- C++ -*-===//
+//===- SummaryIO.h - Versioned codec for summaries ---------------*- C++ -*-===//
 //
 // Part of the ANEK reproduction. See README.md.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The (de)serialization layer that lets probabilistic summaries cross a
-/// process boundary (src/shard/). Two blob kinds share one envelope:
+/// The binary forms of the summary store. Two blob kinds share one
+/// envelope:
 ///
 ///  - a *snapshot* freezes the evidence state of the whole summary store
-///    at a wave boundary (per target: own-body odds and per-call-site
-///    odds, keyed by declaration index). The receiving worker rebuilds
-///    the store skeleton from its own copy of the program (declared-spec
-///    priors and state lists are a pure function of the AST plus
-///    SpecHi/SpecLo), then overlays the snapshot's odds — so the wire
-///    carries only what solving produced, and both sides agree
-///    bit-for-bit because doubles travel as bit-cast u64.
+///    (per target: own-body odds and per-call-site odds, keyed by
+///    declaration index; doubles as bit-cast u64). Equal stores encode
+///    to equal bytes, so the phase-2 limit-cycle detector digests it
+///    (hashSnapshot) and tests compare it.
 ///
-///  - an *outcomes* blob carries a worker's results back: per analyzed
-///    method a full MethodReport mirror plus the deferred summary
-///    updates ANEK-INFER would have produced in process, each identified
-///    by (owner declaration index, interface role, site key).
+///  - a *cache entry* is one memoized SOLVE of the incremental summary
+///    cache (src/cache/), with every method named by qualified name.
 ///
 /// Envelope: magic, version, kind, payload length, FNV-1a checksum, then
 /// the payload. Decoding is defensive end to end: truncated headers,
-/// wrong versions, oversized declared lengths, checksum mismatches and
-/// shape mismatches against the local program all come back as Status
-/// errors — corrupt input can fail a shard attempt (the coordinator
-/// classifies that as WorkerLost and re-dispatches) but can never crash
-/// the coordinator or smuggle in a short read.
+/// wrong versions, oversized declared lengths and checksum mismatches
+/// all come back as Status errors, so a corrupt file on disk is a cache
+/// miss, never a crash or a short read.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,12 +51,11 @@ namespace summaryio {
 /// disk.
 constexpr uint32_t WireVersion = 2;
 
-/// What a sealed blob carries. The kind is part of the envelope so a
-/// snapshot can never be mistaken for an outcomes blob by a confused
-/// (or corrupted) peer.
+/// What a sealed blob carries. The kind is part of the envelope so one
+/// kind can never be mistaken for another. Values are on disk: never
+/// reuse a retired one (2 carried multi-process wave outcomes).
 enum class BlobKind : uint32_t {
   Snapshot = 1,
-  Outcomes = 2,
   /// One memoized SOLVE result of the incremental summary cache
   /// (src/cache/): a key echo plus a CachedSolve body.
   CacheEntry = 3,
@@ -92,58 +84,6 @@ enum class SummaryTargetRole : uint8_t {
   Result,
 };
 
-/// "recv-pre" / "param-post" / ... for diagnostics.
-const char *summaryTargetRoleName(SummaryTargetRole Role);
-
-/// One deferred summary update in wire form: the process-independent
-/// image of the engine's PendingUpdate. Methods and call sites are named
-/// by declaration index (stable across processes parsing the same
-/// source), never by pointer.
-struct SummaryUpdate {
-  /// Declaration index of the method whose summary is updated.
-  uint32_t OwnerDeclIndex = 0;
-  SummaryTargetRole Role = SummaryTargetRole::RecvPre;
-  /// Parameter position for the Param* roles; 0 otherwise.
-  uint32_t ParamIndex = 0;
-  /// True: own-body evidence (setSelfOdds). False: call-site evidence.
-  bool IsSelf = true;
-  /// Call-site key for site evidence: the calling method's declaration
-  /// index and the site's index within that caller's PFG.
-  uint32_t SiteCallerDeclIndex = 0;
-  uint32_t SiteIndex = 0;
-  /// Odds multipliers, one per tracked variable of the target.
-  std::vector<double> Odds;
-  /// ANEK_DEBUG_EVIDENCE annotation; carried so debug output is
-  /// byte-identical whether the update was computed locally or remotely.
-  std::string DebugLine;
-};
-
-/// Everything a worker reports for one analyzed method: a MethodReport
-/// mirror plus the updates and accounting the engine would have produced
-/// had it analyzed the method in process.
-struct ShardMethodOutcome {
-  uint32_t DeclIndex = 0;
-
-  /// Mirror of MethodReport::Failed/Error (the failure already happened
-  /// remotely; it is merged as a skip, exactly like a local failure).
-  bool Failed = false;
-  std::string Error;
-
-  /// MethodReport mirror: solver cascade outcome.
-  uint8_t SolverUsed = 0; ///< SolverChoice as its enum value.
-  bool FallbackUsed = false;
-  std::string Reason;
-  SolveReport Solve;
-  uint32_t Solves = 0;
-
-  /// Run-statistics contributions.
-  uint64_t Variables = 0;
-  uint64_t Factors = 0;
-  double SolveSeconds = 0.0;
-
-  std::vector<SummaryUpdate> Updates;
-};
-
 /// Serializes the evidence state of \p Summaries (sealed Snapshot blob).
 /// Iteration is declaration-index order (MethodDeclMap) and each target
 /// keeps its sites in CallSiteOrder, so equal stores encode to equal bytes.
@@ -153,25 +93,6 @@ std::string encodeSnapshot(const MethodDeclMap<MethodSummary> &Summaries);
 /// building the blob: equal stores hash equal, and any bit of evidence
 /// that differs changes the digest (up to 64-bit collisions).
 void hashSnapshot(HashStream &H, const MethodDeclMap<MethodSummary> &Summaries);
-
-/// Overlays a snapshot blob onto \p Summaries, a skeleton store built
-/// over the *same program* with the same SpecHi/SpecLo (so shapes and
-/// priors already agree; only SelfOdds/SiteOdds are written). Errors on
-/// any envelope violation (see openBlob) and on shape mismatches: a
-/// declaration index absent from the store, a target present on exactly
-/// one side, or an odds vector of the wrong arity.
-Status decodeSnapshot(std::string_view Blob,
-                      MethodDeclMap<MethodSummary> &Summaries);
-
-/// Serializes worker results (sealed Outcomes blob).
-std::string encodeOutcomes(const std::vector<ShardMethodOutcome> &Outcomes);
-
-/// Decodes an outcomes blob. Structural validation only (the envelope
-/// plus bounds); semantic validation against the program — do these
-/// declaration indices exist, do arities match — happens where the
-/// decl-index table lives (the engine's merge step).
-Expected<std::vector<ShardMethodOutcome>>
-decodeOutcomes(std::string_view Blob);
 
 /// Serializes one memoized SOLVE result (sealed CacheEntry blob). \p Key
 /// — the content key the entry is filed under — is echoed into the

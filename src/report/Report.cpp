@@ -19,18 +19,6 @@ using namespace anek::report;
 
 namespace {
 
-bool endsWith(const std::string &S, const std::string &Suffix) {
-  return S.size() >= Suffix.size() &&
-         S.compare(S.size() - Suffix.size(), Suffix.size(), Suffix) == 0;
-}
-
-/// True for the counter/histogram \p Name naming metric \p Leaf either
-/// directly or under an aggregation prefix ("shard.worker.cache.hit"
-/// counts toward "cache.hit" — worker-side work is still work).
-bool namesMetric(const std::string &Name, const char *Leaf) {
-  return Name == Leaf || endsWith(Name, std::string(".") + Leaf);
-}
-
 std::vector<SpanStat> sortedStats(std::map<std::string, SpanStat> &&ByName) {
   std::vector<SpanStat> Out;
   Out.reserve(ByName.size());
@@ -56,7 +44,6 @@ Status digestTrace(const std::string &Text, Profile &P) {
     return Status::error(ErrorCode::InvalidArgument,
                          "trace file has no traceEvents array");
   std::map<std::string, SpanStat> Phases, Spans;
-  std::map<unsigned, bool> Pids;
   int64_t MinTs = 0, MaxEnd = 0;
   bool AnySpan = false;
   for (const json::Value &E : Events.Items) {
@@ -64,9 +51,6 @@ Status digestTrace(const std::string &Text, Profile &P) {
     if (Ph == "M")
       continue; // Lane-name metadata, not a timed event.
     ++P.TraceEvents;
-    unsigned Pid = static_cast<unsigned>(E.at("pid").num(1.0));
-    if (Pid != 1)
-      Pids[Pid] = true;
     if (Ph != "X")
       continue;
     std::string Name = E.at("name").str();
@@ -89,16 +73,14 @@ Status digestTrace(const std::string &Text, Profile &P) {
       S.MaxUs = std::max(S.MaxUs, Dur);
     };
     Bump(Spans);
-    // "Phases" are the local process's top-of-stack spans: what the run
-    // was doing, not what every nested helper was doing.
-    if (Depth == 0 && Pid == 1)
+    // "Phases" are the top-of-stack spans: what the run was doing, not
+    // what every nested helper was doing.
+    if (Depth == 0)
       Bump(Phases);
   }
   P.HasTrace = true;
   P.Phases = sortedStats(std::move(Phases));
   P.Spans = sortedStats(std::move(Spans));
-  for (const auto &[Pid, Seen] : Pids)
-    P.WorkerPids.push_back(Pid);
   P.TraceSpanUs = AnySpan ? MaxEnd - MinTs : 0;
   return Status::ok();
 }
@@ -125,32 +107,21 @@ Status digestMetrics(const std::string &Text, Profile &P) {
   }
   P.HasMetrics = true;
 
-  uint64_t Hits = 0, Misses = 0;
-  for (const auto &[Name, V] : P.Counters) {
-    if (namesMetric(Name, "cache.hit"))
-      Hits += V;
-    if (namesMetric(Name, "cache.miss"))
-      Misses += V;
-  }
-  if (Hits + Misses > 0)
-    P.CacheHitRate = static_cast<double>(Hits) /
-                     static_cast<double>(Hits + Misses);
-  for (const auto &[Name, H] : P.Histograms) {
-    if (namesMetric(Name, "infer.queue_wait_us"))
-      P.QueueWaitUs += static_cast<uint64_t>(H.Sum);
-    if (namesMetric(Name, "infer.method_run_us"))
-      P.MethodRunUs += static_cast<uint64_t>(H.Sum);
-  }
   auto Counter = [&](const char *Name) -> uint64_t {
     auto It = P.Counters.find(Name);
     return It == P.Counters.end() ? 0 : It->second;
   };
-  P.WorkersSpawned = Counter("shard.workers_spawned");
-  P.WorkersLost = Counter("shard.workers_lost");
-  P.Redispatches = Counter("shard.redispatches");
-  P.Quarantined = Counter("shard.quarantined");
-  P.TelemetryFrames = Counter("shard.telemetry_frames");
-  P.TelemetryDropped = Counter("shard.telemetry_dropped");
+  const uint64_t Hits = Counter("cache.hit"), Misses = Counter("cache.miss");
+  if (Hits + Misses > 0)
+    P.CacheHitRate = static_cast<double>(Hits) /
+                     static_cast<double>(Hits + Misses);
+  auto HistogramSum = [&](const char *Name) -> uint64_t {
+    auto It = P.Histograms.find(Name);
+    return It == P.Histograms.end() ? 0
+                                    : static_cast<uint64_t>(It->second.Sum);
+  };
+  P.QueueWaitUs = HistogramSum("infer.queue_wait_us");
+  P.MethodRunUs = HistogramSum("infer.method_run_us");
   return Status::ok();
 }
 
@@ -259,11 +230,6 @@ std::string report::renderText(const Profile &P, unsigned TopK) {
     Out += formatStr("\ntrace: %llu events over %s",
                      static_cast<unsigned long long>(P.TraceEvents),
                      formatUs(P.TraceSpanUs).c_str());
-    if (!P.WorkerPids.empty()) {
-      Out += formatStr(", %zu worker lane(s):", P.WorkerPids.size());
-      for (unsigned Pid : P.WorkerPids)
-        Out += formatStr(" %u", Pid);
-    }
     Out += "\n\nphases (top-level spans)\n";
     for (const SpanStat &S : P.Phases)
       Out += formatStr("  %-28s %10s  x%llu\n", S.Name.c_str(),
@@ -297,18 +263,6 @@ std::string report::renderText(const Profile &P, unsigned TopK) {
                       static_cast<double>(Total)
                 : 0.0);
     }
-    if (P.WorkersSpawned || P.WorkersLost || P.Quarantined)
-      Out += formatStr("  shard tier            %llu spawned, %llu lost, "
-                       "%llu re-dispatched, %llu quarantined\n",
-                       static_cast<unsigned long long>(P.WorkersSpawned),
-                       static_cast<unsigned long long>(P.WorkersLost),
-                       static_cast<unsigned long long>(P.Redispatches),
-                       static_cast<unsigned long long>(P.Quarantined));
-    if (P.TelemetryFrames || P.TelemetryDropped)
-      Out += formatStr("  worker telemetry      %llu frame(s), %llu "
-                       "dropped\n",
-                       static_cast<unsigned long long>(P.TelemetryFrames),
-                       static_cast<unsigned long long>(P.TelemetryDropped));
     for (const auto &[Name, H] : P.Histograms)
       Out += formatStr("  %-28s n=%-8llu p50=%-10.4g p95=%-10.4g "
                        "p99=%.4g\n",
@@ -375,10 +329,6 @@ std::string report::renderJson(const Profile &P, unsigned TopK) {
            jsonNumber(static_cast<double>(P.TraceEvents)) + ",\n";
     Out += "    \"span_us\": " +
            jsonNumber(static_cast<double>(P.TraceSpanUs)) + ",\n";
-    Out += "    \"worker_pids\": [";
-    for (size_t I = 0; I != P.WorkerPids.size(); ++I)
-      Out += (I ? ", " : "") + jsonNumber(P.WorkerPids[I]);
-    Out += "],\n";
     Out += "    \"phases\": " +
            SpanArray(P.Phases, static_cast<unsigned>(P.Phases.size())) +
            ",\n";
@@ -393,18 +343,6 @@ std::string report::renderJson(const Profile &P, unsigned TopK) {
            jsonNumber(static_cast<double>(P.QueueWaitUs)) + ",\n";
     Out += "    \"method_run_us\": " +
            jsonNumber(static_cast<double>(P.MethodRunUs)) + ",\n";
-    Out += "    \"shard\": {\"workers_spawned\": " +
-           jsonNumber(static_cast<double>(P.WorkersSpawned)) +
-           ", \"workers_lost\": " +
-           jsonNumber(static_cast<double>(P.WorkersLost)) +
-           ", \"redispatches\": " +
-           jsonNumber(static_cast<double>(P.Redispatches)) +
-           ", \"quarantined\": " +
-           jsonNumber(static_cast<double>(P.Quarantined)) +
-           ", \"telemetry_frames\": " +
-           jsonNumber(static_cast<double>(P.TelemetryFrames)) +
-           ", \"telemetry_dropped\": " +
-           jsonNumber(static_cast<double>(P.TelemetryDropped)) + "},\n";
     Out += "    \"histograms\": {";
     bool First = true;
     for (const auto &[Name, H] : P.Histograms) {

@@ -8,11 +8,10 @@
 /// Digests the telemetry artifacts one run leaves behind — an
 /// `anek-trace-v1` Chrome trace, an `anek-metrics-v1` snapshot, an
 /// `anek-batch-v1` JSONL stream, any subset — into one profile a human
-/// can read in ten seconds (DESIGN.md, "Distributed telemetry"): where
-/// the wall-clock went per phase, the top spans by duration, the cache
-/// hit rate, how hard the shard tier fought (spawns, losses,
-/// re-dispatches, quarantines), the queue-wait vs. solve split, and the
-/// per-request outcome table.
+/// can read in ten seconds (DESIGN.md, "Telemetry"): where the
+/// wall-clock went per phase, the top spans by duration, the cache hit
+/// rate, the queue-wait vs. solve split, and the per-request outcome
+/// table.
 ///
 /// The profiler is a pure function of the artifact bytes: it never runs
 /// inference, so profiling a run costs milliseconds regardless of what
@@ -69,8 +68,6 @@ struct Profile {
   /// All complete spans grouped by name, ordered by total duration
   /// descending, truncated to TopK by the renderers.
   std::vector<SpanStat> Spans;
-  /// Remote (worker) pids seen in the trace, ascending.
-  std::vector<unsigned> WorkerPids;
   uint64_t TraceEvents = 0;
   int64_t TraceSpanUs = 0; ///< max end - min start over complete spans.
 
@@ -90,13 +87,6 @@ struct Profile {
   /// infer.queue_wait_us / infer.method_run_us counters).
   uint64_t QueueWaitUs = 0;
   uint64_t MethodRunUs = 0;
-  /// Shard-tier effort counters (0 when the run never sharded).
-  uint64_t WorkersSpawned = 0;
-  uint64_t WorkersLost = 0;
-  uint64_t Redispatches = 0;
-  uint64_t Quarantined = 0;
-  uint64_t TelemetryFrames = 0;
-  uint64_t TelemetryDropped = 0;
 
   // --- Batch-derived (HasBatch) ------------------------------------
   bool HasBatch = false;

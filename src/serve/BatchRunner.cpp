@@ -51,10 +51,10 @@ void countTerminal(const BatchResult &Res) {
 
 /// Renders the slow-request span tree: every complete span the serving
 /// thread recorded inside the request's execution window, indented by
-/// nesting depth. Spans running on pool or shard-dispatch threads belong
-/// to other tids and are deliberately absent — the dump answers "where
-/// did *this* thread's time go", and the full cross-thread picture lives
-/// in the trace file.
+/// nesting depth. Spans running on pool threads belong to other tids
+/// and are deliberately absent — the dump answers "where did *this*
+/// thread's time go", and the full cross-thread picture lives in the
+/// trace file.
 std::string renderSlowRequest(const BatchResult &Res, double Threshold,
                               unsigned Tid, int64_t FromUs, int64_t ToUs) {
   std::string Out =
@@ -138,17 +138,6 @@ Status BatchRunner::runAttempt(const BatchRequest &R, ThreadPool *SharedPool,
     InferOpts.SolveBudgetSeconds = DeadlineSeconds;
   }
 
-  // Shard-tier wiring: build the per-request executor only when the
-  // driver injected a factory and this request resolved to shards > 0.
-  // The executor lives for the attempt; a re-dispatched attempt after a
-  // transient failure builds a fresh one (fresh worker pool included).
-  unsigned Shards = R.Shards ? R.Shards : Opts.DefaultShards;
-  std::unique_ptr<WaveShardExecutor> ShardExec;
-  if (Opts.Shards && Shards > 0) {
-    ShardExec = Opts.Shards(*Prog, Source, InferOpts, Shards);
-    InferOpts.ShardExec = ShardExec.get();
-  }
-
   // Cache-tier wiring: resolve the request's directory through the
   // driver-injected provider. The provider owns the cache instances
   // (one per directory, shared across requests and attempts); the engine
@@ -175,28 +164,12 @@ Status BatchRunner::runAttempt(const BatchRequest &R, ThreadPool *SharedPool,
   };
   Res.Output = printProgram(*Prog, PrintOpts);
   Res.SpecCount = Inference.inferredAnnotationCount();
-  // Degradation reasons compose: algorithmic degradation (fallback
-  // solves, failed methods) and infrastructure degradation (the shard
-  // tier surviving worker losses by quarantining or re-running waves in
-  // process) can both happen in one request, and hiding either would
-  // misreport the run. Results are still byte-identical to -j1 in the
-  // shard cases (the executor contract).
+  // A run that fell back to another solver or isolated a failed method
+  // still produced output, but not the output a clean run would have.
   std::string Reason;
-  auto AddReason = [&](std::string Part) {
-    if (!Reason.empty())
-      Reason += "; ";
-    Reason += Part;
-  };
   if (Inference.MethodsFailed || Inference.FallbackSolves)
-    AddReason(formatStr("%u method(s) failed, %u fallback solve(s)",
-                        Inference.MethodsFailed, Inference.FallbackSolves));
-  if (Inference.Shard.ShardsQuarantined)
-    AddReason(formatStr("shard-quarantine: %u shard(s) degraded to "
-                        "in-process execution",
-                        Inference.Shard.ShardsQuarantined));
-  else if (Inference.Shard.WavesDegraded)
-    AddReason(formatStr("shard-degraded: %u wave(s) re-run in process",
-                        Inference.Shard.WavesDegraded));
+    Reason = formatStr("%u method(s) failed, %u fallback solve(s)",
+                       Inference.MethodsFailed, Inference.FallbackSolves);
   if (!Reason.empty()) {
     Res.State = TerminalState::Degraded;
     Res.Reason = std::move(Reason);

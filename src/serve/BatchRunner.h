@@ -37,30 +37,15 @@
 #include <csignal>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace anek {
 
-class Program;
 class SolveCache;
 class ThreadPool;
-class WaveShardExecutor;
-struct InferOptions;
 
 namespace serve {
-
-/// Builds a per-request shard executor: (program, the source it was
-/// parsed from, the fully resolved inference options, shard count) -> a
-/// WaveShardExecutor the runner owns for the attempt. This is serve's
-/// only view of the shard tier — the layer below never links src/shard/;
-/// the driver injects a factory that constructs a shard::ShardCoordinator
-/// (tools/anek.cpp). Requests asking for shards while no factory is wired
-/// simply run in process.
-using ShardFactory = std::function<std::unique_ptr<WaveShardExecutor>(
-    Program &Prog, const std::string &Source, const InferOptions &Opts,
-    unsigned Shards)>;
 
 /// Resolves a `cache=` directory to a live summary cache: serve's only
 /// view of the cache tier (src/cache/ is never linked here; the driver
@@ -86,12 +71,6 @@ struct BatchOptions {
   /// Default wave-job parallelism per request. 1 solves inline on the
   /// serving worker (request-level parallelism only).
   unsigned DefaultJobs = 1;
-  /// Default shard worker processes per request (0 = sharding off unless
-  /// a request opts in with shards=N).
-  unsigned DefaultShards = 0;
-  /// Shard-tier injection point (see ShardFactory above). Unset = every
-  /// request runs in process regardless of shard counts.
-  ShardFactory Shards;
   /// Default summary-cache directory; requests override with `cache=`.
   /// Empty = caching off unless a request opts in.
   std::string DefaultCacheDir;

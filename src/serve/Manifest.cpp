@@ -105,12 +105,6 @@ anek::serve::parseManifest(const std::string &Text) {
         } catch (...) {
           return lineError(LineNo, "bad jobs value '" + Value + "'");
         }
-      } else if (Key == "shards") {
-        try {
-          R.Shards = static_cast<unsigned>(std::stoul(Value));
-        } catch (...) {
-          return lineError(LineNo, "bad shards value '" + Value + "'");
-        }
       } else if (Key == "deadline") {
         try {
           R.DeadlineSeconds = std::stod(Value);

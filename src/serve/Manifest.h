@@ -16,8 +16,6 @@
 ///
 ///   id=<string>       stable request id (default "req<line-index>")
 ///   jobs=<N>          wave-job parallelism override
-///   shards=<N>        shard worker processes (0 = batch default; needs
-///                     the driver's --shards wiring, see BatchOptions)
 ///   deadline=<secs>   per-request wall-clock deadline (0 = unlimited)
 ///   mem=<bytes>       peak-memory budget; k/m/g suffixes accepted
 ///   fault=<spec>      fault spec activated for the batch run

@@ -7,10 +7,9 @@
 /// \file
 /// Retry policy of the serving layer (DESIGN.md, "Serving model"). Only
 /// the typed transient class is retried — ErrorCode::Unavailable (a
-/// resource that should come back) and ErrorCode::WorkerLost (a shard
-/// worker died with the work, not because of it); every other failure is
-/// terminal for the request, because re-running a deterministic inference
-/// on the same bad input produces the same failure. Backoff is capped
+/// resource that should come back); every other failure is terminal for
+/// the request, because re-running a deterministic inference on the same
+/// bad input produces the same failure. Backoff is capped
 /// exponential with *deterministic* jitter:
 /// the multiplier is derived from a stable hash of (request label,
 /// attempt, seed), so two runs of the same batch make identical retry
@@ -40,14 +39,13 @@ struct RetryPolicy {
   /// reproduce byte-identically.
   uint64_t Seed = 1;
 
-  /// True for the typed transient set: Unavailable and WorkerLost. Both
-  /// mean "the attempt was interrupted, not refuted" — nothing about the
-  /// input makes a retry futile. InvalidArgument, ResourceExhausted,
-  /// DeadlineExceeded, Unsatisfiable, FaultInjected and Internal are all
-  /// deterministic verdicts about the request and stay terminal.
+  /// True for the typed transient set, Unavailable: "the attempt was
+  /// interrupted, not refuted" — nothing about the input makes a retry
+  /// futile. InvalidArgument, ResourceExhausted, DeadlineExceeded,
+  /// Unsatisfiable, FaultInjected and Internal are all deterministic
+  /// verdicts about the request and stay terminal.
   static bool isTransient(const Status &S) {
-    return S.code() == ErrorCode::Unavailable ||
-           S.code() == ErrorCode::WorkerLost;
+    return S.code() == ErrorCode::Unavailable;
   }
 
   /// Whether another attempt should be made after \p AttemptsMade

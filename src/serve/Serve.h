@@ -56,10 +56,6 @@ struct BatchRequest {
   /// Wave-job parallelism for this request: 0 = batch default, 1 = solve
   /// inline on the serving worker, N > 1 = use the shared inference pool.
   unsigned Jobs = 0;
-  /// Shard worker processes for this request: 0 = batch default (which
-  /// also defaults to 0 = no sharding). Effective only when the batch was
-  /// wired with a ShardFactory (the driver's job — see BatchOptions).
-  unsigned Shards = 0;
   /// Wall-clock deadline in seconds; < 0 = batch default, 0 = unlimited.
   double DeadlineSeconds = -1.0;
   /// Peak-memory budget in bytes; < 0 = batch default, 0 = unlimited.

@@ -74,29 +74,10 @@ constexpr std::array<FaultInfo, NumFaultKinds> FaultTable = {{
     {"mem-spike",
      "the resource governor observes a synthetic allocation spike that "
      "blows any memory budget"},
-    {"worker-crash",
-     "the shard coordinator SIGKILLs a local worker (or resets a remote "
-     "session) right after dispatch (crash-detection probe; re-dispatch "
-     "recovers)"},
-    {"worker-hang",
-     "a dispatched shard worker's reads are blackholed so its heartbeat "
-     "goes silent (hang-detection probe; the deadline drops the session)"},
     {"wire-corrupt",
-     "a received shard-result frame has a byte flipped so its checksum "
-     "fails (corrupt-frame probe; the worker is recycled)"},
-    {"net-refuse",
-     "a shard worker session is refused before it connects or spawns "
-     "(refusal probe; costs one attempt)"},
-    {"net-reset-midframe",
-     "a shard worker session hard-resets (RST) halfway through writing a "
-     "frame (torn-connection probe; costs one attempt)"},
-    {"net-stall",
-     "a shard worker session goes silent mid-read so the heartbeat "
-     "deadline trips (stall probe; the session is dropped and "
-     "re-dispatched)"},
-    {"net-handshake-skew",
-     "the Init-by-digest handshake is stamped with the wrong protocol "
-     "version so the worker rejects the session (version-mismatch probe)"},
+     "a summary-cache blob read from disk has a byte flipped so its "
+     "checksum fails (site `cache`; the entry degrades to a counted "
+     "miss)"},
 }};
 static_assert(FaultTable.size() == NumFaultKinds,
               "every FaultKind needs a name and a one-line description");
@@ -220,16 +201,10 @@ Status faults::injectedError(FaultKind Kind, const std::string &Label) {
   if (!Label.empty())
     Message += " at " + Label;
   // Transient kinds map to the retryable classes (see RetryPolicy).
-  ErrorCode Code = ErrorCode::FaultInjected;
-  if (Kind == FaultKind::TransientSolve)
-    Code = ErrorCode::Unavailable;
-  else if (Kind == FaultKind::WorkerCrash || Kind == FaultKind::WorkerHang ||
-           Kind == FaultKind::WireCorrupt || Kind == FaultKind::NetRefuse ||
-           Kind == FaultKind::NetResetMidframe ||
-           Kind == FaultKind::NetStall ||
-           Kind == FaultKind::NetHandshakeSkew)
-    Code = ErrorCode::WorkerLost;
-  return Status::error(Code, Message);
+  return Status::error(Kind == FaultKind::TransientSolve
+                           ? ErrorCode::Unavailable
+                           : ErrorCode::FaultInjected,
+                       Message);
 }
 
 Status faults::activateSpec(const std::string &Spec) {

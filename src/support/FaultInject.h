@@ -32,22 +32,9 @@
 ///                   budget is exhausted (exercises retry/backoff)
 ///   mem-spike       the resource governor observes a synthetic
 ///                   allocation spike that blows any memory budget
-///   worker-crash    the shard coordinator SIGKILLs a local worker (or
-///                   hard-resets a remote session) right after
-///                   dispatching a shard to it (crash-detection probe)
-///   worker-hang     a dispatched worker session's reads are blackholed
-///                   so its heartbeat goes silent (hang-detection probe)
-///   wire-corrupt    a received shard-result frame has a byte flipped, so
-///                   its checksum fails (corrupt-frame probe)
-///   net-refuse      a worker session is refused before it connects or
-///                   spawns (refusal probe)
-///   net-reset-midframe  a worker session hard-resets (RST) halfway
-///                   through writing a frame (torn-connection probe)
-///   net-stall       a worker session goes silent mid-read so the
-///                   heartbeat deadline must trip (stall probe)
-///   net-handshake-skew  the Init-by-digest handshake is stamped with the
-///                   wrong protocol version, so the worker rejects the
-///                   session (version-mismatch probe)
+///   wire-corrupt    a summary-cache blob read from disk has a byte
+///                   flipped, so its checksum fails (site `cache`;
+///                   corrupt-entry probe)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,15 +58,9 @@ enum class FaultKind : unsigned {
   QueueFull,
   TransientSolve,
   MemSpike,
-  WorkerCrash,
-  WorkerHang,
   WireCorrupt,
-  NetRefuse,
-  NetResetMidframe,
-  NetStall,
-  NetHandshakeSkew,
 };
-constexpr unsigned NumFaultKinds = 14;
+constexpr unsigned NumFaultKinds = 8;
 
 /// Spec name of a fault kind ("bp-nonconverge", ...).
 const char *faultKindName(FaultKind Kind);
@@ -118,10 +99,9 @@ bool kindActive(FaultKind Kind);
 bool consumeFire(FaultKind Kind, const std::string &Label = std::string());
 
 /// Convenience: an error Status naming the fault, for sites that surface
-/// the fault as a Status. Transient kinds map to the retryable classes —
-/// transient-solve yields ErrorCode::Unavailable; worker-crash,
-/// worker-hang, wire-corrupt and the net-* kinds yield
-/// ErrorCode::WorkerLost — all others ErrorCode::FaultInjected.
+/// the fault as a Status. The transient kind maps to the retryable
+/// class — transient-solve yields ErrorCode::Unavailable — and all
+/// others to ErrorCode::FaultInjected.
 Status injectedError(FaultKind Kind, const std::string &Label);
 
 /// Activates \p Spec ("name[*N][:filter][,...]") on top of the current

@@ -20,8 +20,6 @@ const char *anek::errorCodeName(ErrorCode Code) {
     return "fault-injected";
   case ErrorCode::Unavailable:
     return "unavailable";
-  case ErrorCode::WorkerLost:
-    return "worker-lost";
   case ErrorCode::Internal:
     return "internal";
   }

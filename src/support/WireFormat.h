@@ -5,13 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The byte-level substrate of every ANEK wire format (the summary
-/// snapshot/outcome blobs of src/infer/SummaryIO.h and the anek-shard-v1
-/// frames of src/shard/Wire.h). Encoding is explicit little-endian fixed
-/// width — the same bytes on every host this reproduction targets — and
-/// doubles travel as bit-cast u64, so a summary that crosses a process
-/// boundary is bit-identical on arrival (the determinism contract's
-/// foundation).
+/// The byte-level substrate of every ANEK binary format (the summary
+/// snapshot and cache-entry blobs of src/infer/SummaryIO.h). Encoding is
+/// explicit little-endian fixed width — the same bytes on every host this
+/// reproduction targets — and doubles travel as bit-cast u64, so a cache
+/// entry written on one run replays bit-identically on the next.
 ///
 /// Reading is defensive by design: a Reader never indexes past its
 /// buffer; the first short or oversized read latches a sticky failure
@@ -34,7 +32,7 @@ namespace wire {
 
 /// FNV-1a over \p Data — the checksum of every ANEK wire payload. Not
 /// cryptographic; it detects the torn writes, truncation and bit flips
-/// the shard failure model defends against.
+/// an on-disk cache entry can suffer.
 inline uint64_t fnv1a64(std::string_view Data) {
   uint64_t Hash = 1469598103934665603ULL;
   for (unsigned char C : Data) {

@@ -191,33 +191,21 @@ std::string withWireVersion(std::string Blob, uint32_t Version) {
   return Blob;
 }
 
-TEST_F(CacheTest, OlderWireVersionIsRejectedByEveryBlobDecoder) {
+TEST_F(CacheTest, OlderWireVersionCacheEntryIsRejected) {
   // Version 1 blobs carried the two-stage BP's SolveReport layout (with
-  // SkippedUpdates); no decoder may read one as a current blob. The
-  // shard tier's outcome frames go through the same envelope check.
+  // SkippedUpdates); the decoder must not read one as a current blob.
+  // The version and the entry's kind tag are both on disk.
   ASSERT_EQ(summaryio::WireVersion, 2u);
-  const std::string Entry = withWireVersion(
-      summaryio::encodeCacheEntry(7, sampleSolve()), 1);
-  Expected<CachedSolve> E = summaryio::decodeCacheEntry(Entry, 7);
+  ASSERT_EQ(static_cast<uint32_t>(summaryio::BlobKind::CacheEntry), 3u);
+  const std::string Current = summaryio::encodeCacheEntry(7, sampleSolve());
+  Expected<CachedSolve> E =
+      summaryio::decodeCacheEntry(withWireVersion(Current, 1), 7);
   ASSERT_FALSE(E.hasValue());
   EXPECT_NE(E.status().str().find("unsupported wire version 1"),
             std::string::npos)
       << E.status().str();
-
-  summaryio::ShardMethodOutcome Outcome;
-  Outcome.DeclIndex = 3;
-  Outcome.Solve.Converged = true;
-  const std::string Outcomes =
-      withWireVersion(summaryio::encodeOutcomes({Outcome}), 1);
-  Expected<std::vector<summaryio::ShardMethodOutcome>> O =
-      summaryio::decodeOutcomes(Outcomes);
-  ASSERT_FALSE(O.hasValue());
-  EXPECT_NE(O.status().str().find("unsupported wire version 1"),
-            std::string::npos)
-      << O.status().str();
-  // The unpatched blobs still decode.
-  EXPECT_TRUE(summaryio::decodeOutcomes(summaryio::encodeOutcomes({Outcome}))
-                  .hasValue());
+  // The unpatched blob still decodes.
+  EXPECT_TRUE(summaryio::decodeCacheEntry(Current, 7).hasValue());
 }
 
 TEST_F(CacheTest, EntriesSealedUnderOlderWireVersionAreResolved) {

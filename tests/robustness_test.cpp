@@ -13,29 +13,20 @@
 #include "infer/AnekInfer.h"
 #include "infer/GlobalInfer.h"
 #include "lang/Sema.h"
-#include "shard/Wire.h"
 #include "support/Deadline.h"
 #include "support/FaultInject.h"
 #include "support/Rational.h"
 #include "support/Status.h"
-#include "support/Subprocess.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cerrno>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fcntl.h>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
-#include <pthread.h>
 #include <set>
 #include <sstream>
 #include <sys/wait.h>
-#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -147,6 +138,17 @@ TEST_F(RobustnessTest, DriverExitCodeContract) {
   EXPECT_EQ(runTool("infer --frobnicate x"), 2);  // Unknown flag.
   EXPECT_EQ(runTool("infer /no/such/file.mjava"), 1);
   EXPECT_EQ(runTool("infer --example file"), 0);
+  // Phase-2 waves run in one process; the flags and commands that once
+  // farmed them out to worker processes are usage errors, not no-ops.
+  EXPECT_EQ(runTool("infer --example file --shards 2"), 2);
+  EXPECT_EQ(runTool("infer --example file --workers unix:/tmp/x"), 2);
+  EXPECT_EQ(runTool("infer --example file --heartbeat-timeout 1"), 2);
+  EXPECT_EQ(runTool("infer --example file --shard-max-frame-bytes 65536"),
+            2);
+  EXPECT_EQ(runTool("--heartbeat-timeout 1"), 2);
+  EXPECT_EQ(runTool("--shard-max-frame-bytes 65536"), 2);
+  EXPECT_EQ(runTool("workerd --listen unix:/tmp/x"), 2);
+  EXPECT_EQ(runTool("--worker"), 2);
 }
 
 TEST_F(RobustnessTest, DriverReportsFaultInjection) {
@@ -493,7 +495,7 @@ TEST_F(RobustnessTest, FaultVocabularyIsCompleteAndListed) {
   // The static_assert in FaultInject.cpp keeps the table in sync at
   // compile time; this checks the runtime surface: every kind has a
   // distinct name, a description, and shows up in `anek faults`.
-  ASSERT_EQ(NumFaultKinds, 14u);
+  ASSERT_EQ(NumFaultKinds, 8u);
   std::string FaultsOutput;
   EXPECT_EQ(runTool("faults", &FaultsOutput), 0);
   std::string ListOutput;
@@ -526,43 +528,6 @@ TEST_F(RobustnessTest, NewFaultKindsActivateAndClassify) {
             ErrorCode::Unavailable);
   EXPECT_EQ(faults::injectedError(FaultKind::MemSpike, "x").code(),
             ErrorCode::FaultInjected);
-}
-
-TEST_F(RobustnessTest, ShardFaultKindsClassifyAsWorkerLost) {
-  // The worker-chaos kinds — process and network alike — all surface as
-  // a lost worker: the retryable class the shard coordinator
-  // re-dispatches under.
-  EXPECT_EQ(faults::injectedError(FaultKind::WorkerCrash, "s0").code(),
-            ErrorCode::WorkerLost);
-  EXPECT_EQ(faults::injectedError(FaultKind::WorkerHang, "s0").code(),
-            ErrorCode::WorkerLost);
-  EXPECT_EQ(faults::injectedError(FaultKind::WireCorrupt, "s0").code(),
-            ErrorCode::WorkerLost);
-  EXPECT_EQ(faults::injectedError(FaultKind::NetRefuse, "s0").code(),
-            ErrorCode::WorkerLost);
-  EXPECT_EQ(faults::injectedError(FaultKind::NetResetMidframe, "s0").code(),
-            ErrorCode::WorkerLost);
-  EXPECT_EQ(faults::injectedError(FaultKind::NetStall, "s0").code(),
-            ErrorCode::WorkerLost);
-  EXPECT_EQ(faults::injectedError(FaultKind::NetHandshakeSkew, "s0").code(),
-            ErrorCode::WorkerLost);
-  Status Ok = faults::activateSpec("worker-crash*2:s1, worker-hang, "
-                                   "wire-corrupt:s2");
-  ASSERT_TRUE(Ok.isOk()) << Ok.str();
-  EXPECT_TRUE(faults::active(FaultKind::WorkerCrash, "s1"));
-  EXPECT_FALSE(faults::active(FaultKind::WorkerCrash, "s9"));
-  EXPECT_TRUE(faults::active(FaultKind::WorkerHang, "anything"));
-  EXPECT_TRUE(faults::active(FaultKind::WireCorrupt, "s2"));
-
-  Status Net = faults::activateSpec(
-      "net-refuse*1:e0, net-reset-midframe*2, net-stall, "
-      "net-handshake-skew:e1");
-  ASSERT_TRUE(Net.isOk()) << Net.str();
-  EXPECT_TRUE(faults::active(FaultKind::NetRefuse, "e0"));
-  EXPECT_FALSE(faults::active(FaultKind::NetRefuse, "e9"));
-  EXPECT_TRUE(faults::active(FaultKind::NetResetMidframe, "anything"));
-  EXPECT_TRUE(faults::active(FaultKind::NetStall, "anything"));
-  EXPECT_TRUE(faults::active(FaultKind::NetHandshakeSkew, "e1"));
 }
 
 TEST_F(RobustnessTest, FireBudgetConsumesAndExhausts) {
@@ -625,196 +590,6 @@ TEST_F(RobustnessTest, FaultScopePrefixesSolveFailureSites) {
   // No scope at all: the bare qualified name does not match either.
   InferResult NoScope = runAnekInfer(*Prog);
   EXPECT_EQ(NoScope.MethodsFailed, 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// Shard wire protocol: corrupt frames come back as Status errors
-//===----------------------------------------------------------------------===//
-
-TEST_F(RobustnessTest, ShardWireRejectsCorruptFramesWithStatusErrors) {
-  // The anek-shard-v1 decoder contract: every malformed byte stream is a
-  // structured rejection — never a crash, never an unbounded allocation.
-  // Header layout (Wire.h): u32 magic @0, u16 version @4, u16 type @6,
-  // u64 payload-len @8, u64 fnv checksum @16, all little-endian.
-  const std::string Good =
-      shard::encodeFrame(shard::FrameType::Result, "sealed-outcomes-blob");
-  ASSERT_TRUE(shard::parseFrame(Good).hasValue());
-
-  auto Flip = [&](size_t At) {
-    std::string S = Good;
-    S[At] = static_cast<char>(S[At] ^ 0x20);
-    return S;
-  };
-  auto Set = [&](size_t At, char To) {
-    std::string S = Good;
-    S[At] = To;
-    return S;
-  };
-
-  struct CorruptCase {
-    const char *Name;
-    std::string Bytes;
-    ErrorCode Want;
-  };
-  const CorruptCase Cases[] = {
-      {"empty stream", std::string(), ErrorCode::InvalidArgument},
-      {"truncated header", Good.substr(0, shard::FrameHeaderBytes - 1),
-       ErrorCode::InvalidArgument},
-      {"bad magic", Flip(0), ErrorCode::InvalidArgument},
-      // Version 1 predates the Telemetry frame; v2 decoders reject v1
-      // peers outright (same-binary contract, see Wire.h).
-      {"stale protocol version", Set(4, 1), ErrorCode::InvalidArgument},
-      {"future protocol version", Set(4, 3), ErrorCode::InvalidArgument},
-      {"frame type zero", Set(6, 0), ErrorCode::InvalidArgument},
-      {"unknown frame type", Set(6, 0x7f), ErrorCode::InvalidArgument},
-      // Byte 12 is bit 32 of the length field: declares ~4 GiB, far over
-      // the MaxFramePayload cap. The decoder must refuse to allocate.
-      {"oversized declared length", Set(12, 1), ErrorCode::ResourceExhausted},
-      {"declared length over actual", Set(8, 21), ErrorCode::InvalidArgument},
-      {"truncated payload", Good.substr(0, Good.size() - 1),
-       ErrorCode::InvalidArgument},
-      {"payload byte flip", Flip(Good.size() - 3),
-       ErrorCode::InvalidArgument},
-      {"checksum field flip", Flip(16), ErrorCode::InvalidArgument},
-  };
-  for (const CorruptCase &C : Cases) {
-    Expected<shard::Frame> F = shard::parseFrame(C.Bytes);
-    ASSERT_FALSE(F.hasValue()) << C.Name << " parsed";
-    EXPECT_EQ(F.status().code(), C.Want)
-        << C.Name << ": " << F.status().str();
-    EXPECT_NE(F.status().str().find("shard frame rejected"),
-              std::string::npos)
-        << C.Name << ": " << F.status().str();
-  }
-}
-
-TEST_F(RobustnessTest, ParseFrameHonorsConfigurableCap) {
-  // --shard-max-frame-bytes plumbs down to this parameter: a frame whose
-  // declared payload exceeds the configured cap is refused before any
-  // allocation, and a cap below the protocol floor silently clamps up so
-  // heartbeat-sized frames always fit.
-  std::string Payload(10000, 'x');
-  const std::string Big = shard::encodeFrame(shard::FrameType::Result, Payload);
-  EXPECT_TRUE(shard::parseFrame(Big).hasValue());
-  EXPECT_TRUE(shard::parseFrame(Big, 16384).hasValue());
-  Expected<shard::Frame> Capped = shard::parseFrame(Big, 8192);
-  ASSERT_FALSE(Capped.hasValue());
-  EXPECT_EQ(Capped.status().code(), ErrorCode::ResourceExhausted);
-  // Below the floor: clamps to MinConfigurableFramePayload, not to 1.
-  const std::string Small = shard::encodeFrame(shard::FrameType::Result, "ok");
-  EXPECT_TRUE(shard::parseFrame(Small, 1).hasValue());
-}
-
-//===----------------------------------------------------------------------===//
-// EINTR robustness of the shard tier's blocking I/O
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-std::atomic<unsigned> UsrSignalsSeen{0};
-void countUsrSignal(int) {
-  UsrSignalsSeen.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// Installs a non-SA_RESTART SIGUSR1 handler for the test's lifetime, so
-/// every delivery interrupts a blocking syscall with EINTR instead of
-/// the kernel transparently restarting it.
-struct InterruptingHandler {
-  struct sigaction Old;
-  InterruptingHandler() {
-    struct sigaction Sa;
-    std::memset(&Sa, 0, sizeof(Sa));
-    Sa.sa_handler = countUsrSignal;
-    sigemptyset(&Sa.sa_mask);
-    Sa.sa_flags = 0; // Deliberately no SA_RESTART.
-    ::sigaction(SIGUSR1, &Sa, &Old);
-  }
-  ~InterruptingHandler() { ::sigaction(SIGUSR1, &Old, nullptr); }
-};
-
-} // namespace
-
-TEST_F(RobustnessTest, WriteFullSurvivesEintrStormAndPartialWrites) {
-  // A coordinator writing a Task frame while the soak harness's chaos
-  // signals land must never see a spurious short write. Storm a thread
-  // blocked in writeFull with non-restarting signals while draining its
-  // pipe slowly, so the call eats both EINTR and partial writes.
-  InterruptingHandler Guard;
-  UsrSignalsSeen.store(0);
-  int Fds[2];
-  ASSERT_EQ(::pipe(Fds), 0);
-#ifdef F_SETPIPE_SZ
-  // Shrink the pipe so a 1 MiB payload needs many kernel-level writes.
-  ::fcntl(Fds[1], F_SETPIPE_SZ, 4096);
-#endif
-  const size_t Size = 1 << 20;
-  std::vector<unsigned char> Payload(Size);
-  for (size_t I = 0; I != Size; ++I)
-    Payload[I] = static_cast<unsigned char>(I * 131 + 7);
-
-  Status WriteResult = Status::ok();
-  std::thread Writer([&] {
-    WriteResult = subprocess::writeFull(Fds[1], Payload.data(), Size);
-  });
-  std::vector<unsigned char> Received;
-  Received.reserve(Size);
-  unsigned char Buf[8192];
-  while (Received.size() < Size) {
-    pthread_kill(Writer.native_handle(), SIGUSR1);
-    Status Ready = subprocess::waitReadable(Fds[0], 10.0);
-    ASSERT_TRUE(Ready.isOk()) << Ready.str();
-    ssize_t N = ::read(Fds[0], Buf, sizeof(Buf));
-    if (N < 0 && errno == EINTR)
-      continue;
-    ASSERT_GT(N, 0);
-    Received.insert(Received.end(), Buf, Buf + N);
-  }
-  Writer.join();
-  ::close(Fds[0]);
-  ::close(Fds[1]);
-  ASSERT_TRUE(WriteResult.isOk()) << WriteResult.str();
-  ASSERT_EQ(Received.size(), Size);
-  EXPECT_TRUE(std::equal(Received.begin(), Received.end(), Payload.begin()));
-  // The storm must actually have landed for the test to mean anything.
-  EXPECT_GT(UsrSignalsSeen.load(), 0u);
-}
-
-TEST_F(RobustnessTest, WaitReadableSurvivesEintrStorm) {
-  InterruptingHandler Guard;
-  UsrSignalsSeen.store(0);
-  int Fds[2];
-  ASSERT_EQ(::pipe(Fds), 0);
-
-  // (a) Interrupted polls must not stretch the deadline: a storm that
-  // outlives the timeout still gets DeadlineExceeded about on time —
-  // a naive full-timeout retry after each EINTR would hang here.
-  Status WaitResult = Status::ok();
-  std::thread Waiter(
-      [&] { WaitResult = subprocess::waitReadable(Fds[0], 0.3); });
-  for (int I = 0; I != 60; ++I) {
-    pthread_kill(Waiter.native_handle(), SIGUSR1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  Waiter.join();
-  EXPECT_EQ(WaitResult.code(), ErrorCode::DeadlineExceeded)
-      << WaitResult.str();
-  EXPECT_GT(UsrSignalsSeen.load(), 0u);
-
-  // (b) Data arriving mid-storm is still seen: the retry must re-poll,
-  // not give up on the interruption.
-  Status WaitResult2 = Status::ok();
-  std::thread Waiter2(
-      [&] { WaitResult2 = subprocess::waitReadable(Fds[0], 10.0); });
-  for (int I = 0; I != 10; ++I) {
-    pthread_kill(Waiter2.native_handle(), SIGUSR1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_EQ(::write(Fds[1], "x", 1), 1);
-  Waiter2.join();
-  EXPECT_TRUE(WaitResult2.isOk()) << WaitResult2.str();
-
-  ::close(Fds[0]);
-  ::close(Fds[1]);
 }
 
 TEST_F(RobustnessTest, DriverAcceptsJoinedFaultSpelling) {

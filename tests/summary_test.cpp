@@ -2,6 +2,7 @@
 
 #include "infer/Summary.h"
 #include "infer/SummaryIO.h"
+#include "support/Hash.h"
 #include "lang/Sema.h"
 
 #include <gtest/gtest.h>
@@ -207,17 +208,31 @@ TEST(TargetSummaryTest, FlatPoolingMatchesSequentialProductBitExact) {
   const CallSiteKey Unknown{Callers.front(), 99};
   EXPECT_TRUE(SameBits(T.pooledWithoutSite(Unknown), T.pooled()));
 
-  // Many-site snapshot round trip: bytes and pooled bits survive.
-  const std::string Blob = summaryio::encodeSnapshot(Store);
-  MethodDeclMap<MethodSummary> Decoded;
+  // The snapshot encodes the evidence, not its history: a store given
+  // only the final odds, in CallSiteOrder, encodes and hashes the same.
+  MethodDeclMap<MethodSummary> Rebuilt;
   for (const auto &M : C->Methods)
-    Decoded.emplace(M.get(), MethodSummary::forMethod(*M, 0.9, 0.1));
-  ASSERT_TRUE(summaryio::decodeSnapshot(Blob, Decoded).isOk());
-  EXPECT_EQ(summaryio::encodeSnapshot(Decoded), Blob);
-  const TargetSummary &Back = *Decoded.at(Use).ParamPre[0];
+    Rebuilt.emplace(M.get(), MethodSummary::forMethod(*M, 0.9, 0.1));
+  TargetSummary &Back = *Rebuilt.at(Use).ParamPre[0];
+  Back.setSelfOdds(Self);
+  for (const auto &[Key, SiteOdds] : Reference)
+    Back.setSiteOdds(Key, SiteOdds);
+  const std::string Blob = summaryio::encodeSnapshot(Store);
+  EXPECT_EQ(summaryio::encodeSnapshot(Rebuilt), Blob);
+  HashStream StoreHash, RebuiltHash;
+  summaryio::hashSnapshot(StoreHash, Store);
+  summaryio::hashSnapshot(RebuiltHash, Rebuilt);
+  EXPECT_EQ(RebuiltHash.digest(), StoreHash.digest());
   EXPECT_TRUE(SameBits(Back.pooled(), T.pooled()));
-  EXPECT_TRUE(SameBits(Back.pooledWithoutSite(Keys.front()),
-                       T.pooledWithoutSite(Keys.front())));
+
+  // One differing odds bit changes both the bytes and the digest.
+  std::vector<double> Nudged = Reference.begin()->second;
+  Nudged[0] = std::nextafter(Nudged[0], 2.0 * Nudged[0]);
+  Back.setSiteOdds(Reference.begin()->first, Nudged);
+  EXPECT_NE(summaryio::encodeSnapshot(Rebuilt), Blob);
+  HashStream NudgedHash;
+  summaryio::hashSnapshot(NudgedHash, Rebuilt);
+  EXPECT_NE(NudgedHash.digest(), StoreHash.digest());
 }
 
 //===----------------------------------------------------------------------===//

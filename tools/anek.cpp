@@ -9,7 +9,6 @@
 //   anek pfg    <file.mjava | --example NAME> [--dot] [--method M]
 //   anek ir     <file.mjava | --example NAME>
 //   anek batch  <manifest.txt | ->              serve a request stream
-//   anek workerd --listen ADDR                  persistent shard worker
 //   anek report [--trace F] [--metrics F] [--batch F]   profile a run
 //   anek faults                                 list injectable faults
 //
@@ -24,44 +23,16 @@
 // hardware thread; 1 = fully sequential). Output is byte-identical for
 // every N.
 //
-// --shards N (infer/verify/batch) farms wave batches to N crash-tolerant
-// worker *processes* (re-exec'd as the hidden `anek --worker` mode, each
-// on one end of a socketpair) over the anek-shard-v2 protocol; lost
-// workers are respawned and their shards re-dispatched, and a shard that
-// keeps losing workers degrades to in-process execution (src/shard/).
-// stdout stays byte-identical to -j1; the shard tier reports its
-// accounting on stderr.
-//
-// --workers ADDR[,ADDR...] (infer/verify/batch) points the shard tier at
-// persistent `anek workerd` daemons instead of local children: each
-// worker slot connects over TCP ("host:port") or a Unix socket
-// ("unix:/path") and runs the same session — the Init-by-digest
-// handshake (a daemon that already holds the program resident skips the
-// re-parse), then the same Task frames. The ladder has two rungs — the
-// slot's worker session, then in-process execution — so killing every
-// daemon degrades the run but never changes its stdout. `anek workerd
-// --listen ADDR` runs the daemon side; --heartbeat-timeout and
-// --shard-max-frame-bytes tune the coordinator's hang deadline and
-// per-frame decode cap.
-//
 // --trace FILE writes a Chrome trace_event JSON timeline (load it in
 // chrome://tracing or ui.perfetto.dev); --metrics FILE writes the flat
 // anek-metrics-v1 counters document. Either implies --trace-level solver
 // unless --trace-level {off,phase,method,solver} narrows the collection.
 // Telemetry never changes the inferred specs (see DESIGN.md, Telemetry).
 //
-// Under --shards the telemetry is distributed: workers collect at the
-// coordinator's level, ship spans and metric deltas over the wire, and
-// the single --trace file shows every worker as its own pid lane nested
-// under the coordinator's dispatch spans (DESIGN.md, "Distributed
-// telemetry"). The driver also forwards --trace-level — and --trace/
-// --metrics when their paths carry a %p pid slot — to worker argv, so
-// workers can additionally write their own artifact files.
-//
 // `anek report` digests the artifacts a run wrote (--trace/--metrics
 // files, a batch JSONL) into a profile: per-phase time, top spans, cache
-// hit rate, shard-tier effort, queue-wait vs solve split, per-request
-// outcomes. --json emits the machine-readable anek-report-v1 document.
+// hit rate, queue-wait vs solve split, per-request outcomes. --json
+// emits the machine-readable anek-report-v1 document.
 //
 // Built-in examples: spreadsheet, file, field.
 //
@@ -85,9 +56,6 @@
 #include "report/Report.h"
 #include "serve/BatchRunner.h"
 #include "serve/Manifest.h"
-#include "shard/ShardCoordinator.h"
-#include "shard/ShardWorker.h"
-#include "shard/WorkerDaemon.h"
 #include "support/FaultInject.h"
 #include "support/Format.h"
 #include "support/Metrics.h"
@@ -119,21 +87,14 @@ void usage() {
   std::fputs("usage: anek <infer|check|verify|pfg|ir> "
              "<file.mjava | --example spreadsheet|file|field> "
              "[--dot] [--method NAME] [--report] [--fault SPEC] "
-             "[--jobs N | -j N] [--shards N] [--workers ADDR[,ADDR...]] "
-             "[--heartbeat-timeout SECS] [--shard-max-frame-bytes N] "
-             "[--cache DIR] "
+             "[--jobs N | -j N] [--cache DIR] "
              "[--kernel-backend scalar|avx2|neon|auto] [--trace FILE] "
              "[--metrics FILE] [--trace-level off|phase|method|solver]\n"
-             "       anek batch <manifest.txt | -> "
-             "[--workers N | --workers ADDR[,ADDR...]] "
+             "       anek batch <manifest.txt | -> [--workers N] "
              "[--queue-cap N] [--retries N] [--deadline SECS] "
-             "[--mem-budget BYTES[k|m|g]] [--jobs N | -j N] [--shards N] "
-             "[--heartbeat-timeout SECS] [--shard-max-frame-bytes N] "
+             "[--mem-budget BYTES[k|m|g]] [--jobs N | -j N] "
              "[--cache DIR] [--seed N] [--out FILE] [--shed-when-full] "
              "[--kernel-backend NAME] [--fault SPEC] [--slow-request SECS] "
-             "[--trace FILE] [--metrics FILE] [--trace-level LEVEL]\n"
-             "       anek workerd --listen <host:port | unix:PATH> "
-             "[--max-frame-bytes N] [--idle-timeout SECS] [--fault SPEC] "
              "[--trace FILE] [--metrics FILE] [--trace-level LEVEL]\n"
              "       anek report [--trace FILE] [--metrics FILE] "
              "[--batch FILE] [--json] [--top N]\n"
@@ -200,172 +161,6 @@ bool flagValue(const std::vector<std::string> &Args, size_t &I,
     return true;
   }
   return false;
-}
-
-bool isAllDigits(const std::string &S) {
-  if (S.empty())
-    return false;
-  for (char C : S)
-    if (C < '0' || C > '9')
-      return false;
-  return true;
-}
-
-/// Splits a comma-separated endpoint list ("host:port" and "unix:/path"
-/// entries); empty pieces are dropped.
-std::vector<std::string> splitEndpoints(const std::string &Value) {
-  std::vector<std::string> Out;
-  size_t Start = 0;
-  for (;;) {
-    size_t Comma = Value.find(',', Start);
-    std::string Piece =
-        Comma == std::string::npos ? Value.substr(Start)
-                                   : Value.substr(Start, Comma - Start);
-    if (!Piece.empty())
-      Out.push_back(std::move(Piece));
-    if (Comma == std::string::npos)
-      return Out;
-    Start = Comma + 1;
-  }
-}
-
-/// Parses a frame-payload cap: plain bytes, within the protocol's
-/// [MinConfigurableFramePayload, MaxFramePayload] window.
-bool parseFrameCap(const std::string &Value, uint64_t &Out) {
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(Value.c_str(), &End, 10);
-  if (!End || *End != '\0' || Value.empty())
-    return false;
-  if (V < shard::MinConfigurableFramePayload || V > shard::MaxFramePayload)
-    return false;
-  Out = V;
-  return true;
-}
-
-/// Parses a strictly positive seconds value.
-bool parseSeconds(const std::string &Value, double &Out) {
-  char *End = nullptr;
-  double V = std::strtod(Value.c_str(), &End);
-  if (!End || *End != '\0' || Value.empty() || !(V > 0.0))
-    return false;
-  Out = V;
-  return true;
-}
-
-/// The telemetry flags the driver forwards to `anek --worker` child
-/// processes (S1 of the distributed-telemetry design): the effective
-/// collection level always (so a worker's *own* spans exist to ship), and
-/// the artifact paths only when they carry a %p pid slot — without one,
-/// every worker would clobber the coordinator's file.
-std::vector<std::string> workerTelemetryArgv(const std::string &RawTracePath,
-                                             const std::string &RawMetricsPath) {
-  std::vector<std::string> Out;
-  telemetry::TraceLevel Level = telemetry::traceLevel();
-  if (Level == telemetry::TraceLevel::Off)
-    return Out;
-  Out.push_back("--trace-level");
-  Out.push_back(telemetry::traceLevelName(Level));
-  if (RawTracePath.find("%p") != std::string::npos) {
-    Out.push_back("--trace");
-    Out.push_back(RawTracePath);
-  }
-  if (RawMetricsPath.find("%p") != std::string::npos) {
-    Out.push_back("--metrics");
-    Out.push_back(RawMetricsPath);
-  }
-  return Out;
-}
-
-/// The hidden `anek --worker [telemetry flags]` mode: parse the flags the
-/// coordinator forwarded (each worker expands %p to its own pid), then
-/// serve one anek-shard-v2 session over the socket the coordinator passed
-/// as stdin and stdout. Unknown flags are
-/// ignored rather than fatal — both ends are the same binary, so a
-/// mismatch is a bug to survive, not hostile input to reject.
-int runWorkerMode(int Argc, char **Argv) {
-  TelemetryFlusher Telemetry;
-  std::vector<std::string> Args(Argv + 2, Argv + Argc);
-  for (size_t I = 0; I < Args.size(); ++I) {
-    std::string Value;
-    if (flagValue(Args, I, "--trace", Value)) {
-      Telemetry.TracePath = expandPathTemplate(Value);
-    } else if (flagValue(Args, I, "--metrics", Value)) {
-      Telemetry.MetricsPath = expandPathTemplate(Value);
-    } else if (flagValue(Args, I, "--trace-level", Value)) {
-      telemetry::TraceLevel Level;
-      if (telemetry::parseTraceLevel(Value, Level))
-        telemetry::setTraceLevel(Level);
-    }
-  }
-  return shard::runWorkerLoop();
-}
-
-/// `anek workerd --listen ADDR`: the persistent shard worker daemon
-/// (src/shard/WorkerDaemon.h). Serves coordinator sessions until SIGINT/
-/// SIGTERM, keeping decoded programs resident across sessions so
-/// reconnecting coordinators handshake by digest instead of re-shipping
-/// and re-parsing the source.
-int runWorkerd(const std::vector<std::string> &Args) {
-  shard::WorkerDaemonOptions Opts;
-  TelemetryFlusher Telemetry;
-  bool HaveTraceLevel = false;
-  for (size_t I = 1; I < Args.size(); ++I) {
-    std::string Value;
-    if (flagValue(Args, I, "--listen", Value)) {
-      Opts.ListenAddress = Value;
-    } else if (flagValue(Args, I, "--max-frame-bytes", Value)) {
-      if (!parseFrameCap(Value, Opts.MaxFrameBytes)) {
-        std::fprintf(stderr,
-                     "anek: bad frame cap '%s' (want %llu..%llu bytes)\n",
-                     Value.c_str(),
-                     static_cast<unsigned long long>(
-                         shard::MinConfigurableFramePayload),
-                     static_cast<unsigned long long>(shard::MaxFramePayload));
-        return ExitUsage;
-      }
-    } else if (flagValue(Args, I, "--idle-timeout", Value)) {
-      if (!parseSeconds(Value, Opts.IdleTimeoutSeconds)) {
-        std::fprintf(stderr, "anek: bad idle timeout '%s'\n", Value.c_str());
-        return ExitUsage;
-      }
-    } else if (flagValue(Args, I, "--fault", Value)) {
-      if (Value == "list") {
-        printFaultTable();
-        return ExitOk;
-      }
-      if (Status S = faults::activateSpec(Value); !S) {
-        std::fprintf(stderr, "anek: %s\n", S.str().c_str());
-        return ExitUsage;
-      }
-    } else if (flagValue(Args, I, "--trace", Value)) {
-      Telemetry.TracePath = expandPathTemplate(Value);
-    } else if (flagValue(Args, I, "--metrics", Value)) {
-      Telemetry.MetricsPath = expandPathTemplate(Value);
-    } else if (flagValue(Args, I, "--trace-level", Value)) {
-      telemetry::TraceLevel Level;
-      if (!telemetry::parseTraceLevel(Value, Level)) {
-        std::fprintf(stderr, "anek: bad trace level '%s'\n", Value.c_str());
-        return ExitUsage;
-      }
-      telemetry::setTraceLevel(Level);
-      HaveTraceLevel = true;
-    } else {
-      std::fprintf(stderr, "anek: unknown workerd argument '%s'\n",
-                   Args[I].c_str());
-      usage();
-      return ExitUsage;
-    }
-  }
-  if (Opts.ListenAddress.empty()) {
-    std::fprintf(stderr,
-                 "anek: workerd needs --listen <host:port | unix:PATH>\n");
-    usage();
-    return ExitUsage;
-  }
-  if (!HaveTraceLevel &&
-      (!Telemetry.TracePath.empty() || !Telemetry.MetricsPath.empty()))
-    telemetry::setTraceLevel(telemetry::TraceLevel::Phase);
-  return shard::runWorkerDaemon(Opts) == 0 ? ExitOk : ExitDiagnostics;
 }
 
 /// `anek report`: profile a finished run from its artifact files.
@@ -483,15 +278,7 @@ int runBatch(const std::vector<std::string> &Args) {
   serve::BatchOptions Opts;
   std::string ManifestPath, OutPath;
   TelemetryFlusher Telemetry;
-  // Raw (unexpanded) artifact paths, kept for worker propagation: each
-  // worker expands %p against its *own* pid.
-  std::string RawTracePath, RawMetricsPath;
   bool HaveTraceLevel = false;
-  // Remote shard endpoints (--workers with a non-numeric value) and the
-  // shard-tier knobs, threaded into every per-request coordinator.
-  std::vector<std::string> ShardEndpoints;
-  double HeartbeatTimeout = 0.0;
-  uint64_t ShardMaxFrameBytes = 0;
 
   auto ParseUnsigned = [](const std::string &Value, unsigned &Out) {
     char *End = nullptr;
@@ -506,10 +293,8 @@ int runBatch(const std::vector<std::string> &Args) {
     std::string Value;
     unsigned Parsed = 0;
     if (flagValue(Args, I, "--trace", Value)) {
-      RawTracePath = Value;
       Telemetry.TracePath = expandPathTemplate(Value);
     } else if (flagValue(Args, I, "--metrics", Value)) {
-      RawMetricsPath = Value;
       Telemetry.MetricsPath = expandPathTemplate(Value);
     } else if (flagValue(Args, I, "--trace-level", Value)) {
       telemetry::TraceLevel Level;
@@ -531,39 +316,11 @@ int runBatch(const std::vector<std::string> &Args) {
     } else if (flagValue(Args, I, "--out", Value)) {
       OutPath = expandPathTemplate(Value);
     } else if (flagValue(Args, I, "--workers", Value)) {
-      // Numeric = serving thread count (the flag's historical meaning);
-      // anything else = a shard endpoint list for `anek workerd` daemons.
-      if (isAllDigits(Value)) {
-        if (!ParseUnsigned(Value, Parsed) || Parsed == 0) {
-          std::fprintf(stderr, "anek: bad worker count '%s'\n",
-                       Value.c_str());
-          return ExitUsage;
-        }
-        Opts.Workers = Parsed;
-      } else {
-        ShardEndpoints = splitEndpoints(Value);
-        if (ShardEndpoints.empty()) {
-          std::fprintf(stderr, "anek: bad worker endpoint list '%s'\n",
-                       Value.c_str());
-          return ExitUsage;
-        }
-      }
-    } else if (flagValue(Args, I, "--heartbeat-timeout", Value)) {
-      if (!parseSeconds(Value, HeartbeatTimeout)) {
-        std::fprintf(stderr, "anek: bad heartbeat timeout '%s'\n",
-                     Value.c_str());
+      if (!ParseUnsigned(Value, Parsed) || Parsed == 0) {
+        std::fprintf(stderr, "anek: bad worker count '%s'\n", Value.c_str());
         return ExitUsage;
       }
-    } else if (flagValue(Args, I, "--shard-max-frame-bytes", Value)) {
-      if (!parseFrameCap(Value, ShardMaxFrameBytes)) {
-        std::fprintf(stderr,
-                     "anek: bad frame cap '%s' (want %llu..%llu bytes)\n",
-                     Value.c_str(),
-                     static_cast<unsigned long long>(
-                         shard::MinConfigurableFramePayload),
-                     static_cast<unsigned long long>(shard::MaxFramePayload));
-        return ExitUsage;
-      }
+      Opts.Workers = Parsed;
     } else if (flagValue(Args, I, "--queue-cap", Value)) {
       if (!ParseUnsigned(Value, Parsed) || Parsed == 0) {
         std::fprintf(stderr, "anek: bad queue cap '%s'\n", Value.c_str());
@@ -608,12 +365,6 @@ int runBatch(const std::vector<std::string> &Args) {
         return ExitUsage;
       }
       Opts.DefaultJobs = Parsed;
-    } else if (flagValue(Args, I, "--shards", Value)) {
-      if (!ParseUnsigned(Value, Parsed)) {
-        std::fprintf(stderr, "anek: bad shard count '%s'\n", Value.c_str());
-        return ExitUsage;
-      }
-      Opts.DefaultShards = Parsed;
     } else if (flagValue(Args, I, "--cache", Value)) {
       if (Value.empty()) {
         std::fprintf(stderr, "anek: empty cache directory\n");
@@ -691,39 +442,11 @@ int runBatch(const std::vector<std::string> &Args) {
       std::fflush(OutStream);
     }
   };
-  // The shard tier is always wired for a batch: a manifest line's
-  // shards=N (or --shards as the batch default) farms that request's
-  // waves to worker processes; with both at 0 the factory simply never
-  // runs. Serve stays shard-agnostic — this injection is its only path
-  // to src/shard/.
-  uint64_t BatchSeed = Opts.Seed;
-  std::vector<std::string> WorkerTelemetry =
-      workerTelemetryArgv(RawTracePath, RawMetricsPath);
-  // Endpoints without an explicit shard count mean "one shard per
-  // daemon" — the natural reading of `--workers a,b,c`.
-  if (!ShardEndpoints.empty() && Opts.DefaultShards == 0)
-    Opts.DefaultShards = static_cast<unsigned>(ShardEndpoints.size());
-  Opts.Shards = [BatchSeed, WorkerTelemetry, ShardEndpoints,
-                 HeartbeatTimeout, ShardMaxFrameBytes](
-                    Program &Prog, const std::string &Source,
-                    const InferOptions &InferOpts, unsigned Shards)
-      -> std::unique_ptr<WaveShardExecutor> {
-    shard::CoordinatorOptions Co;
-    Co.Workers = Shards;
-    Co.Retry.Seed = BatchSeed;
-    Co.WorkerExtraArgv = WorkerTelemetry;
-    Co.Endpoints = ShardEndpoints;
-    if (HeartbeatTimeout > 0.0)
-      Co.HeartbeatTimeoutSeconds = HeartbeatTimeout;
-    Co.MaxFrameBytes = ShardMaxFrameBytes;
-    return std::make_unique<shard::ShardCoordinator>(Prog, Source,
-                                                     InferOpts, Co);
-  };
   Opts.DrainSignal = &BatchDrainFlag;
   std::signal(SIGINT, batchDrainHandler);
   std::signal(SIGTERM, batchDrainHandler);
 
-  // The cache tier is likewise always wired: a manifest line's cache=DIR
+  // The cache tier is always wired: a manifest line's cache=DIR
   // (or --cache as the batch default) memoizes that request's solves in
   // DIR. The driver owns one SummaryCache per distinct directory, shared
   // across the requests naming it (the instances are thread-safe and must
@@ -814,8 +537,6 @@ int run(int Argc, char **Argv) {
   }
   if (Command == "batch")
     return runBatch(Args);
-  if (Command == "workerd")
-    return runWorkerd(Args);
   if (Command == "report")
     return runReport(Args);
   if (Command != "infer" && Command != "check" && Command != "verify" &&
@@ -831,29 +552,18 @@ int run(int Argc, char **Argv) {
   // 0 = auto (one worker per hardware thread); the schedule makes every
   // value produce byte-identical output, so auto is a safe default.
   unsigned Jobs = 0;
-  // 0 = no sharding; N = farm waves to N worker processes (infer/verify).
-  unsigned ShardWorkers = 0;
-  // Remote `anek workerd` endpoints; non-empty makes the shard tier
-  // prefer socket sessions and implies sharding even without --shards.
-  std::vector<std::string> ShardEndpoints;
-  double HeartbeatTimeout = 0.0;   // 0 = the coordinator default.
-  uint64_t ShardMaxFrameBytes = 0; // 0 = the protocol default.
   // Summary-cache directory (infer/verify); empty = no caching.
   std::string CacheDir;
   std::string MethodFilter;
   TelemetryFlusher Telemetry;
-  // Raw (unexpanded) artifact paths, kept for worker propagation.
-  std::string RawTracePath, RawMetricsPath;
   bool HaveTraceLevel = false;
   for (size_t I = 1; I < Args.size(); ++I) {
     std::string Value;
     if (flagValue(Args, I, "--trace", Value)) {
-      RawTracePath = Value;
       Telemetry.TracePath = expandPathTemplate(Value);
       continue;
     }
     if (flagValue(Args, I, "--metrics", Value)) {
-      RawMetricsPath = Value;
       Telemetry.MetricsPath = expandPathTemplate(Value);
       continue;
     }
@@ -893,37 +603,6 @@ int run(int Argc, char **Argv) {
       Jobs = static_cast<unsigned>(Value);
       if (Args[I].size() == 2 || Args[I] == "--jobs")
         ++I;
-    } else if (flagValue(Args, I, "--shards", Value)) {
-      char *End = nullptr;
-      unsigned long Count = std::strtoul(Value.c_str(), &End, 10);
-      if (!End || *End != '\0' || Value.empty()) {
-        std::fprintf(stderr, "anek: bad shard count '%s'\n", Value.c_str());
-        return ExitUsage;
-      }
-      ShardWorkers = static_cast<unsigned>(Count);
-    } else if (flagValue(Args, I, "--workers", Value)) {
-      ShardEndpoints = splitEndpoints(Value);
-      if (ShardEndpoints.empty()) {
-        std::fprintf(stderr, "anek: bad worker endpoint list '%s'\n",
-                     Value.c_str());
-        return ExitUsage;
-      }
-    } else if (flagValue(Args, I, "--heartbeat-timeout", Value)) {
-      if (!parseSeconds(Value, HeartbeatTimeout)) {
-        std::fprintf(stderr, "anek: bad heartbeat timeout '%s'\n",
-                     Value.c_str());
-        return ExitUsage;
-      }
-    } else if (flagValue(Args, I, "--shard-max-frame-bytes", Value)) {
-      if (!parseFrameCap(Value, ShardMaxFrameBytes)) {
-        std::fprintf(stderr,
-                     "anek: bad frame cap '%s' (want %llu..%llu bytes)\n",
-                     Value.c_str(),
-                     static_cast<unsigned long long>(
-                         shard::MinConfigurableFramePayload),
-                     static_cast<unsigned long long>(shard::MaxFramePayload));
-        return ExitUsage;
-      }
     } else if (flagValue(Args, I, "--cache", Value)) {
       if (Value.empty()) {
         std::fprintf(stderr, "anek: empty cache directory\n");
@@ -1015,29 +694,9 @@ int run(int Argc, char **Argv) {
   if (Command == "infer" || Command == "verify") {
     InferOptions InferOpts;
     InferOpts.Parallelism = Jobs;
-    // --shards N: farm waves to N worker processes. The coordinator is
-    // built from the same options the workers will receive; by the
-    // executor contract stdout stays byte-identical to -j1, so the shard
-    // accounting goes to stderr below.
-    std::unique_ptr<shard::ShardCoordinator> Coordinator;
-    if (!ShardEndpoints.empty() && ShardWorkers == 0)
-      ShardWorkers = static_cast<unsigned>(ShardEndpoints.size());
-    if (ShardWorkers > 0) {
-      shard::CoordinatorOptions CoOpts;
-      CoOpts.Workers = ShardWorkers;
-      CoOpts.Endpoints = ShardEndpoints;
-      if (HeartbeatTimeout > 0.0)
-        CoOpts.HeartbeatTimeoutSeconds = HeartbeatTimeout;
-      CoOpts.MaxFrameBytes = ShardMaxFrameBytes;
-      CoOpts.WorkerExtraArgv =
-          workerTelemetryArgv(RawTracePath, RawMetricsPath);
-      Coordinator = std::make_unique<shard::ShardCoordinator>(
-          *Prog, Source, InferOpts, CoOpts);
-      InferOpts.ShardExec = Coordinator.get();
-    }
-    // --cache DIR: memoize solves in DIR. Like the shard tier, caching
-    // never changes stdout (a warm run is byte-identical to a cold -j1
-    // run — see DESIGN.md); the accounting goes to stderr below.
+    // --cache DIR: memoize solves in DIR. Caching never changes stdout
+    // (a warm run is byte-identical to a cold -j1 run — see DESIGN.md);
+    // the accounting goes to stderr below.
     std::unique_ptr<cache::SummaryCache> Cache;
     if (!CacheDir.empty()) {
       Cache = std::make_unique<cache::SummaryCache>(CacheDir);
@@ -1050,17 +709,6 @@ int run(int Argc, char **Argv) {
                    "anek: cache: %u hit(s), %u miss(es), %u invalidated, "
                    "%u corrupt, %u store(s)\n",
                    C.Hits, C.Misses, C.Invalidated, C.Corrupt, C.Stores);
-    }
-    if (ShardWorkers > 0) {
-      const ShardStats &S = Inference.Shard;
-      std::fprintf(stderr,
-                   "anek: shards: %u wave(s) remote, %u degraded; "
-                   "%u dispatch(es) (%u remote), %u re-dispatch(es); "
-                   "%u worker(s) spawned, %u lost; %u reconnect(s); "
-                   "%u shard(s) quarantined\n",
-                   S.WavesRemote, S.WavesDegraded, S.ShardsDispatched,
-                   S.RemoteDispatches, S.Redispatches, S.WorkersSpawned,
-                   S.WorkersLost, S.Reconnects, S.ShardsQuarantined);
     }
     if (Diags.all().size())
       std::fputs(Diags.str().c_str(), stderr);
@@ -1110,13 +758,6 @@ int main(int Argc, char **Argv) {
   // through. Exit code 3 tells scripts "bug in anek", distinct from
   // "bad input" (1) and "bad invocation" (2).
   try {
-    // Hidden worker mode: a shard coordinator re-execs this binary as
-    // `anek --worker [telemetry flags]` and speaks anek-shard-v1 over its
-    // stdin/stdout. Dispatched before general flag parsing so no other
-    // flag can perturb it; the worker mode parses only the telemetry
-    // flags the coordinator forwarded.
-    if (Argc > 1 && std::strcmp(Argv[1], "--worker") == 0)
-      return runWorkerMode(Argc, Argv);
     return run(Argc, Argv);
   } catch (const std::exception &E) {
     std::fprintf(stderr, "anek: internal error: %s\n", E.what());
