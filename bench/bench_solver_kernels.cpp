@@ -348,6 +348,7 @@ Marginals pr3CsrGibbs(const FactorGraph &G, uint64_t Seed, unsigned BurnIn,
   const unsigned NumVars = G.variableCount();
   Rng Random(Seed);
   const FactorGraph::EdgeLayout &L = G.edgeLayout();
+  const FactorGraph::GibbsLayout &GL = G.gibbsLayout();
   const unsigned NumFactors = G.factorCount();
 
   std::vector<uint8_t> State(NumVars);
@@ -357,7 +358,7 @@ Marginals pr3CsrGibbs(const FactorGraph &G, uint64_t Seed, unsigned BurnIn,
   std::vector<uint32_t> CurIndex(NumFactors, 0);
   for (uint32_t E = 0; E != L.edgeCount(); ++E)
     if (State[L.EdgeVar[E]])
-      CurIndex[L.EdgeFactor[E]] |= L.EdgeSlotBit[E];
+      CurIndex[L.EdgeFactor[E]] |= GL.EdgeSlotBit[E];
   std::vector<const double *> Tables(NumFactors);
   for (uint32_t F = 0; F != NumFactors; ++F)
     Tables[F] = G.factor(F).Table.data();
@@ -372,7 +373,7 @@ Marginals pr3CsrGibbs(const FactorGraph &G, uint64_t Seed, unsigned BurnIn,
       for (uint32_t I = L.VarOffset[V]; I != L.VarOffset[V + 1]; ++I) {
         const uint32_t E = L.VarEdges[I];
         const uint32_t F = L.EdgeFactor[E];
-        const uint32_t Mask = L.EdgeVarMask[E];
+        const uint32_t Mask = GL.EdgeVarMask[E];
         const uint32_t Base = CurIndex[F] & ~Mask;
         W0 *= Tables[F][Base];
         W1 *= Tables[F][Base | Mask];
@@ -384,7 +385,7 @@ Marginals pr3CsrGibbs(const FactorGraph &G, uint64_t Seed, unsigned BurnIn,
         State[V] = NewBit;
         for (uint32_t I = L.VarOffset[V]; I != L.VarOffset[V + 1]; ++I) {
           const uint32_t E = L.VarEdges[I];
-          CurIndex[L.EdgeFactor[E]] ^= L.EdgeSlotBit[E];
+          CurIndex[L.EdgeFactor[E]] ^= GL.EdgeSlotBit[E];
         }
       }
     }
@@ -589,7 +590,9 @@ int main() {
       FactorGraph G =
           makeBenchGraph(NumVars, MeanDegree, 0x5EED0000 + MeanDegree);
       const FactorGraph::EdgeLayout &L = G.edgeLayout();
-      G.varToFactors(); // Pre-build both indices outside the timed region.
+      // Pre-build every cached index outside the timed region.
+      G.varToFactors();
+      G.gibbsLayout();
 
       ConfigResult R;
       R.Vars = NumVars;

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 namespace anek {
@@ -29,10 +28,10 @@ using VarId = uint32_t;
 /// A factor graph over Boolean variables.
 class FactorGraph {
 public:
-  /// One Bernoulli variable with its prior P(X = true).
+  /// One Bernoulli variable with its prior P(X = true). Variables are
+  /// unnamed: a VarId is their only identity.
   struct Variable {
     double Prior = 0.5;
-    std::string Name;
   };
 
   /// One factor: a non-negative table over the joint assignments of its
@@ -46,8 +45,8 @@ public:
   /// message updates tractable).
   static constexpr unsigned MaxScope = 16;
 
-  /// Adds a variable with prior \p Prior; \p Name aids debugging output.
-  VarId addVariable(double Prior, std::string Name = "");
+  /// Adds a variable with prior \p Prior.
+  VarId addVariable(double Prior);
 
   /// Adds a tabular factor. Table must have size 2^|Scope|.
   void addFactor(std::vector<VarId> Scope, std::vector<double> Table);
@@ -83,6 +82,8 @@ public:
   /// variable-major view (VarOffset/VarEdges) lists each variable's
   /// edges sorted by edge id, i.e. by (factor, slot) — a fixed,
   /// allocation-independent order the determinism contract relies on.
+  /// This is everything BP reads; the Gibbs sampler's extra arrays live
+  /// in GibbsLayout and are built only when a graph is sampled.
   struct EdgeLayout {
     /// Factor-major: edges of factor F are [FactorOffset[F],
     /// FactorOffset[F+1]).
@@ -95,13 +96,10 @@ public:
     /// .. VarOffset[V+1]), ascending.
     std::vector<uint32_t> VarOffset;
     std::vector<uint32_t> VarEdges;
-    /// Table-index bit of the edge's own slot (1 << slot).
-    std::vector<uint32_t> EdgeSlotBit;
-    /// OR of the slot bits of *every* occurrence of the edge's variable
-    /// in the owning factor's scope. Equal to EdgeSlotBit except for the
-    /// degenerate factors that repeat a variable; incremental Gibbs uses
-    /// it to set all of a variable's bits in one mask operation.
-    std::vector<uint32_t> EdgeVarMask;
+    /// Owning factor of each variable-major position: VmFactor[I] =
+    /// EdgeFactor[VarEdges[I]], one indexed load instead of two
+    /// dependent ones.
+    std::vector<uint32_t> VmFactor;
     /// Every factor table concatenated into one contiguous array:
     /// factor F's table occupies TableFlat[TableOffset[F] ..
     /// TableOffset[F] + 2^deg(F)). SIMD kernels gather table entries
@@ -110,13 +108,35 @@ public:
     /// added (setPrior does not touch them).
     std::vector<double> TableFlat;
     std::vector<uint32_t> TableOffset;
+    uint32_t MaxVarDegree = 0;
+    uint32_t MaxFactorDegree = 0;
+
+    uint32_t edgeCount() const {
+      return static_cast<uint32_t>(EdgeVar.size());
+    }
+    uint32_t varDegree(VarId V) const {
+      return VarOffset[V + 1] - VarOffset[V];
+    }
+    uint32_t factorDegree(uint32_t F) const {
+      return FactorOffset[F + 1] - FactorOffset[F];
+    }
+  };
+
+  /// The Gibbs sampler's companions of EdgeLayout, indexed by the same
+  /// edge ids and variable-major positions.
+  struct GibbsLayout {
+    /// Table-index bit of the edge's own slot (1 << slot).
+    std::vector<uint32_t> EdgeSlotBit;
+    /// OR of the slot bits of *every* occurrence of the edge's variable
+    /// in the owning factor's scope. Equal to EdgeSlotBit except for the
+    /// degenerate factors that repeat a variable; incremental Gibbs uses
+    /// it to set all of a variable's bits in one mask operation.
+    std::vector<uint32_t> EdgeVarMask;
     /// Variable-major companions of VarEdges, so the Gibbs inner loop
     /// is one indexed load per field instead of two dependent loads:
-    /// for position I, VmFactor[I] = EdgeFactor[VarEdges[I]], VmMask[I]
-    /// = EdgeVarMask[VarEdges[I]], VmSlotBit[I] =
-    /// EdgeSlotBit[VarEdges[I]], VmTableBase[I] =
+    /// for position I, VmMask[I] = EdgeVarMask[VarEdges[I]],
+    /// VmSlotBit[I] = EdgeSlotBit[VarEdges[I]], VmTableBase[I] =
     /// TableOffset[VmFactor[I]].
-    std::vector<uint32_t> VmFactor;
     std::vector<uint32_t> VmMask;
     std::vector<uint32_t> VmSlotBit;
     std::vector<uint32_t> VmTableBase;
@@ -160,24 +180,16 @@ public:
     std::vector<uint32_t> FlipOffset;
     std::vector<uint32_t> FlipPos;
     std::vector<uint32_t> FlipDelta;
-    uint32_t MaxVarDegree = 0;
-    uint32_t MaxFactorDegree = 0;
-
-    uint32_t edgeCount() const {
-      return static_cast<uint32_t>(EdgeVar.size());
-    }
-    uint32_t varDegree(VarId V) const {
-      return VarOffset[V + 1] - VarOffset[V];
-    }
-    uint32_t factorDegree(uint32_t F) const {
-      return FactorOffset[F + 1] - FactorOffset[F];
-    }
   };
 
   /// The CSR layout, built on first use and cached; adding a variable or
   /// factor invalidates it (setPrior does not). Not thread-safe: solvers
   /// sharing one graph across threads must touch it once up front.
   const EdgeLayout &edgeLayout() const;
+
+  /// The Gibbs companions, built on first use from edgeLayout() and
+  /// cached and invalidated alongside it (same thread-safety caveat).
+  const GibbsLayout &gibbsLayout() const;
 
   /// Factors mentioning each variable, one entry per scope occurrence
   /// (built lazily from the edge layout and cached alongside it).
@@ -191,6 +203,8 @@ private:
   std::vector<Factor> Factors;
   mutable EdgeLayout Layout;
   mutable bool LayoutValid = false;
+  mutable GibbsLayout Gibbs;
+  mutable bool GibbsValid = false;
   mutable std::vector<std::vector<uint32_t>> VarFactorIndex;
   mutable bool IndexValid = false;
 };

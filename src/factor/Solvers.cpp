@@ -6,12 +6,14 @@
 #include "support/FaultInject.h"
 #include "support/Format.h"
 #include "support/Metrics.h"
+#include "support/ThreadPool.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 
 using namespace anek;
 
@@ -33,6 +35,13 @@ using namespace anek;
 // only on the graph, the Options and the message values, which every
 // backend computes byte-identically, so every backend runs the same
 // kernel calls in the same order.
+//
+// A split solve runs each pass as one kernel call per contiguous range
+// of variables (or factors), one range per pool thread. Every output a
+// kernel writes belongs to one variable or factor, each lane of a
+// vector step is an independent output, and a max over non-NaN values
+// does not depend on grouping, so the split loop computes the serial
+// loop's values bit for bit.
 
 namespace {
 
@@ -45,8 +54,10 @@ public:
 
   /// Runs the flooding loop to its exit condition (see above). With
   /// \p TraceIters set, samples the bp.residual counter once per
-  /// iteration after the first.
-  void run(const SumProductSolver::Options &Opts, bool TraceIters);
+  /// iteration after the first. With a \p Pool, every pass is split
+  /// into Pool->threadCount() ranges run as pool jobs.
+  void run(const SumProductSolver::Options &Opts, bool TraceIters,
+           ThreadPool *Pool);
 
   /// Beliefs from the final factor->var messages: the scalar-kernel
   /// epilogue verbatim.
@@ -66,6 +77,12 @@ private:
   /// backend byte-identity.
   void logDomainFixup(const kern::BpConsts &C);
 
+  /// Runs \p Kernel over [Cuts[I], Cuts[I+1]) for every I, as pool jobs
+  /// when there is more than one range, and returns the largest of the
+  /// ranges' results.
+  double pass(ThreadPool *Pool, const std::vector<uint32_t> &Cuts,
+              const std::function<double(uint32_t, uint32_t)> &Kernel);
+
   std::vector<double> Priors;
   kern::BpView View;
   std::vector<double> VarToFactor, FactorToVar;
@@ -74,7 +91,25 @@ private:
   std::vector<uint32_t> HighDegVars; ///< empty on most graphs.
   std::vector<double> LogSufT, LogSufF;
   kern::BpState State;
+  std::vector<double> PartDelta; ///< one slot per range of a split pass.
 };
+
+/// Cuts [0, Count) into \p Parts contiguous ranges holding about equal
+/// shares of the edges, where item I owns edges [Offset[I],
+/// Offset[I+1]). Returns the Parts + 1 boundaries; a range may be empty.
+std::vector<uint32_t> edgeBalancedCuts(const uint32_t *Offset,
+                                       uint32_t Count, unsigned Parts) {
+  const uint64_t Edges = Offset[Count];
+  std::vector<uint32_t> Cuts(Parts + 1, Count);
+  Cuts[0] = 0;
+  for (unsigned K = 1; K != Parts; ++K) {
+    const uint64_t Target = Edges * K / Parts;
+    Cuts[K] = static_cast<uint32_t>(
+        std::lower_bound(Offset + Cuts[K - 1], Offset + Count, Target) -
+        Offset);
+  }
+  return Cuts;
+}
 
 BpEngine::BpEngine(const FactorGraph &G) {
   const FactorGraph::EdgeLayout &L = G.edgeLayout();
@@ -162,7 +197,22 @@ void BpEngine::logDomainFixup(const kern::BpConsts &C) {
   }
 }
 
-void BpEngine::run(const SumProductSolver::Options &Opts, bool TraceIters) {
+double BpEngine::pass(ThreadPool *Pool, const std::vector<uint32_t> &Cuts,
+                      const std::function<double(uint32_t, uint32_t)> &Kernel) {
+  const size_t Parts = Cuts.size() - 1;
+  if (Parts == 1)
+    return Kernel(Cuts[0], Cuts[1]);
+  PartDelta.resize(Parts);
+  parallelFor(Pool, Parts,
+              [&](size_t I) { PartDelta[I] = Kernel(Cuts[I], Cuts[I + 1]); });
+  double Delta = 0.0;
+  for (const double D : PartDelta)
+    Delta = Delta > D ? Delta : D;
+  return Delta;
+}
+
+void BpEngine::run(const SumProductSolver::Options &Opts, bool TraceIters,
+                   ThreadPool *Pool) {
   const kern::SolverKernels &K = kern::solverKernels();
   const kern::BpConsts C{Opts.Damping, 1.0 - Opts.Damping};
   // Without a high-degree variable, pass D is fused into the var-message
@@ -170,6 +220,20 @@ void BpEngine::run(const SumProductSolver::Options &Opts, bool TraceIters) {
   // the split form runs so the log-domain fixup can overwrite
   // NewMsg/Change in between.
   const bool Commit = HighDegVars.empty();
+  const unsigned Parts = Pool ? Pool->threadCount() : 1;
+  const std::vector<uint32_t> VarCuts =
+      edgeBalancedCuts(View.VarOffset, View.NumVars, Parts);
+  const std::vector<uint32_t> FactorCuts =
+      edgeBalancedCuts(View.FactorOffset, View.NumFactors, Parts);
+  auto VarMessages = [&](uint32_t VB, uint32_t VE) {
+    return K.BpVarMessages(View, State, C, VB, VE, Commit);
+  };
+  auto VarScatter = [&](uint32_t VB, uint32_t VE) {
+    return K.BpVarScatter(View, State, VB, VE);
+  };
+  auto FactorSweep = [&](uint32_t FB, uint32_t FE) {
+    return K.BpFactorSweep(View, State, C, FB, FE);
+  };
   unsigned Iter = 0;
   for (; Iter != Opts.MaxIterations && Delta > Opts.Tolerance; ++Iter) {
     if (Opts.Budget.expired(Iter)) {
@@ -179,12 +243,12 @@ void BpEngine::run(const SumProductSolver::Options &Opts, bool TraceIters) {
     if (TraceIters && Iter != 0)
       telemetry::counterSample("bp.residual", telemetry::TraceLevel::Solver,
                                "solver", "residual", Delta);
-    double D1 = K.BpVarMessages(View, State, C, 0, View.NumVars, Commit);
+    double D1 = pass(Pool, VarCuts, VarMessages);
     if (!Commit) {
       logDomainFixup(C);
-      D1 = K.BpVarScatter(View, State, 0, View.NumVars);
+      D1 = pass(Pool, VarCuts, VarScatter);
     }
-    const double D2 = K.BpFactorSweep(View, State, C, 0, View.NumFactors);
+    const double D2 = pass(Pool, FactorCuts, FactorSweep);
     // Both passes recompute every edge's message.
     Updates += 2 * uint64_t{View.NumEdges};
     Delta = D1 > D2 ? D1 : D2;
@@ -226,7 +290,8 @@ Marginals BpEngine::beliefs(Marginals *GraphLikelihood) const {
 
 Marginals SumProductSolver::solve(const FactorGraph &G,
                                   Marginals *GraphLikelihood,
-                                  SolveReport *Report) const {
+                                  SolveReport *Report,
+                                  ThreadPool *Pool) const {
   Timer SolveTimer;
   // Telemetry gates, hoisted out of the message loops: when tracing is
   // off each costs one relaxed load here and a dead branch below.
@@ -240,7 +305,10 @@ Marginals SumProductSolver::solve(const FactorGraph &G,
       faults::anyActive() && faults::active(FaultKind::BpNonConvergence);
 
   BpEngine Engine(G);
-  Engine.run(Opts, TraceIters);
+  if (!Pool || Pool->threadCount() < 2 ||
+      G.edgeLayout().edgeCount() < SplitMinEdges)
+    Pool = nullptr;
+  Engine.run(Opts, TraceIters, Pool);
   const bool Converged = !ForcedNonConvergence && !Engine.DeadlineExpired &&
                          Engine.Delta <= Opts.Tolerance;
   if (Report) {
@@ -278,6 +346,7 @@ Marginals SumProductSolver::solve(const FactorGraph &G,
     SolveSpan.argBool("converged", Converged);
     SolveSpan.arg("messages", Engine.Updates);
     SolveSpan.arg("backend", kern::solverKernels().Name);
+    SolveSpan.arg("ranges", Pool ? Pool->threadCount() : 1u);
     if (!Opts.Budget.unlimited())
       SolveSpan.arg("budget_remaining_s", Opts.Budget.remainingSeconds());
   }
@@ -562,6 +631,7 @@ Marginals GibbsSolver::solve(const FactorGraph &G,
   // same arithmetic as Rng, so the stream is the one Rng(Seed) yields.
   uint64_t RngState = Opts.Seed;
   const FactorGraph::EdgeLayout &L = G.edgeLayout();
+  const FactorGraph::GibbsLayout &GL = G.gibbsLayout();
   const unsigned NumFactors = G.factorCount();
 
   // Initialize from priors.
@@ -580,15 +650,15 @@ Marginals GibbsSolver::solve(const FactorGraph &G,
   std::vector<uint32_t> CurIndex(NumFactors, 0);
   for (uint32_t E = 0; E != L.edgeCount(); ++E)
     if (Assign[L.EdgeVar[E]])
-      CurIndex[L.EdgeFactor[E]] |= L.EdgeSlotBit[E];
+      CurIndex[L.EdgeFactor[E]] |= GL.EdgeSlotBit[E];
 
   kern::GibbsView View;
   View.NumVars = NumVars;
   View.VarOffset = L.VarOffset.data();
   View.VmFactor = L.VmFactor.data();
-  View.VmMask = L.VmMask.data();
-  View.VmSlotBit = L.VmSlotBit.data();
-  View.VmTableBase = L.VmTableBase.data();
+  View.VmMask = GL.VmMask.data();
+  View.VmSlotBit = GL.VmSlotBit.data();
+  View.VmTableBase = GL.VmTableBase.data();
   View.TableFlat = L.TableFlat.data();
   View.Priors = Priors.data();
   kern::GibbsState KState;
@@ -600,17 +670,17 @@ Marginals GibbsSolver::solve(const FactorGraph &G,
   // flip-adjacency CSR (and leaves CurIndex itself untouched — the
   // sampler reads chain state from Assign only).
   std::vector<uint32_t> PosIdx;
-  if (!L.PairFlat.empty()) {
-    View.PairFlat = L.PairFlat.data();
-    View.FlipOffset = L.FlipOffset.data();
-    View.FlipPos = L.FlipPos.data();
-    View.FlipDelta = L.FlipDelta.data();
+  if (!GL.PairFlat.empty()) {
+    View.PairFlat = GL.PairFlat.data();
+    View.FlipOffset = GL.FlipOffset.data();
+    View.FlipPos = GL.FlipPos.data();
+    View.FlipDelta = GL.FlipDelta.data();
     PosIdx.resize(L.edgeCount());
     for (uint32_t I = 0; I != L.edgeCount(); ++I) {
       const uint32_t Cur = CurIndex[L.VmFactor[I]];
-      const uint32_t Low = L.VmPairLow[I];
+      const uint32_t Low = GL.VmPairLow[I];
       PosIdx[I] =
-          L.VmPairBase[I] + 2 * ((Cur & Low) | ((Cur >> 1) & ~Low));
+          GL.VmPairBase[I] + 2 * ((Cur & Low) | ((Cur >> 1) & ~Low));
     }
     KState.PosIdx = PosIdx.data();
   }

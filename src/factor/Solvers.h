@@ -33,6 +33,8 @@
 
 namespace anek {
 
+class ThreadPool;
+
 /// Result of a marginal computation: P(X = true) per variable.
 using Marginals = std::vector<double>;
 
@@ -100,8 +102,23 @@ public:
   /// When \p Report is non-null it receives the convergence report; BP
   /// never fails outright, it only degrades (possibly unconverged
   /// beliefs), so the marginals are always usable as an approximation.
+  ///
+  /// When \p Pool has more than one thread and the graph has at least
+  /// SplitMinEdges edges, every pass of every iteration is cut into one
+  /// edge-balanced range of variables (or factors) per pool thread and
+  /// the ranges run as pool jobs. Each range writes only its own
+  /// messages and the residual is a max, so marginals, likelihoods and
+  /// the report are bit-identical to a solve without a pool. The caller
+  /// must not itself be a job of \p Pool, and should own it: passes
+  /// queued behind unrelated jobs would wait for them.
   Marginals solve(const FactorGraph &G, Marginals *GraphLikelihood = nullptr,
-                  SolveReport *Report = nullptr) const;
+                  SolveReport *Report = nullptr,
+                  ThreadPool *Pool = nullptr) const;
+
+  /// Smallest graph (in edges) whose solve is split across a pool.
+  /// Below it one iteration is too short to repay the per-pass pool
+  /// hand-off (see DESIGN.md, "Concurrency model").
+  static constexpr uint32_t SplitMinEdges = 16384;
 
 private:
   Options Opts;

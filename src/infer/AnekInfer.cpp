@@ -29,6 +29,7 @@
 #include <numeric>
 #include <set>
 #include <unordered_map>
+#include <unordered_set>
 
 using namespace anek;
 
@@ -155,7 +156,8 @@ class InferEngine {
 public:
   InferEngine(Program &Prog, const InferOptions &Opts,
               DiagnosticEngine *Diags)
-      : Prog(Prog), Opts(Opts), Diags(Diags), Graph(Prog) {}
+      : Prog(Prog), Opts(Opts), Diags(Diags), Graph(Prog),
+        DebugEvidence(std::getenv("ANEK_DEBUG_EVIDENCE") != nullptr) {}
 
   InferResult run();
 
@@ -217,8 +219,10 @@ private:
   /// Builds and solves one method's model against the current (frozen)
   /// summary store. Pure with respect to engine state: all writes are
   /// returned as deferred updates inside the outcome. Safe to run
-  /// concurrently with other analyzeOne calls.
-  MethodOutcome analyzeOne(MethodDecl *M);
+  /// concurrently with other analyzeOne calls. A non-null \p SolvePool
+  /// splits the BP solve across that pool (SumProductSolver::solve);
+  /// the caller must not be one of its jobs.
+  MethodOutcome analyzeOne(MethodDecl *M, ThreadPool *SolvePool);
 
   /// Enumerates every summary-prior application \p M's model makes —
   /// own interface targets first, then call sites in PFG order — with
@@ -287,7 +291,8 @@ private:
   /// the cascade decisions in \p Report. \p Seed seeds any sampling
   /// stage (stable per method, independent of scheduling).
   Expected<Marginals> solveGraph(const FactorGraph &G, Marginals &GraphBelief,
-                                 MethodReport &Report, uint64_t Seed) const;
+                                 MethodReport &Report, uint64_t Seed,
+                                 ThreadPool *SolvePool) const;
 
   /// Stable solver seed for \p M: a hash of the qualified method name
   /// mixed with the user seed. Identical across runs, processes and job
@@ -298,6 +303,9 @@ private:
   const InferOptions &Opts;
   DiagnosticEngine *Diags;
   CallGraph Graph;
+  /// ANEK_DEBUG_EVIDENCE was set when the run started: every update then
+  /// carries a trace line, printed at merge time.
+  const bool DebugEvidence;
   // All per-method maps are declaration-ordered so every iteration over
   // them (merging, reporting, extraction) is deterministic.
   MethodDeclMap<MethodReport> Reports;
@@ -378,7 +386,7 @@ void InferEngine::computeEvidence(std::vector<PendingUpdate> &Updates,
   Update.ParamIndex = App.ParamIndex;
   Update.IsSelf = IsSelf;
   Update.Site = Site;
-  if (std::getenv("ANEK_DEBUG_EVIDENCE")) {
+  if (DebugEvidence) {
     std::string Line = SummaryOwner ? SummaryOwner->qualifiedName() : "?";
     Line += IsSelf ? " self" : " site";
     if (!IsSelf && Site.first)
@@ -410,7 +418,8 @@ uint64_t InferEngine::methodSeed(const MethodDecl *M) const {
 Expected<Marginals> InferEngine::solveGraph(const FactorGraph &G,
                                             Marginals &GraphBelief,
                                             MethodReport &Report,
-                                            uint64_t Seed) const {
+                                            uint64_t Seed,
+                                            ThreadPool *SolvePool) const {
   Deadline Budget = Opts.SolveBudgetSeconds > 0.0
                         ? Deadline::afterSeconds(Opts.SolveBudgetSeconds)
                         : Deadline();
@@ -430,7 +439,8 @@ Expected<Marginals> InferEngine::solveGraph(const FactorGraph &G,
   auto RunBp = [&](SumProductSolver::Options O) {
     O.Budget = Budget;
     Report.Used = SolverChoice::SumProduct;
-    return SumProductSolver(O).solve(G, &GraphBelief, &Report.Solve);
+    return SumProductSolver(O).solve(G, &GraphBelief, &Report.Solve,
+                                     SolvePool);
   };
   auto RunGibbs = [&]() {
     GibbsSolver::Options O;
@@ -615,7 +625,8 @@ void InferEngine::forEachApplication(
   }
 }
 
-InferEngine::MethodOutcome InferEngine::analyzeOne(MethodDecl *M) {
+InferEngine::MethodOutcome InferEngine::analyzeOne(MethodDecl *M,
+                                                   ThreadPool *SolvePool) {
   MethodOutcome Out;
   auto Fail = [&](const Status &S) {
     Out.Failed = true;
@@ -654,7 +665,7 @@ InferEngine::MethodOutcome InferEngine::analyzeOne(MethodDecl *M) {
   Timer SolveTimer;
   Marginals GraphBelief;
   Expected<Marginals> Solved =
-      solveGraph(FG, GraphBelief, Out.Report, methodSeed(M));
+      solveGraph(FG, GraphBelief, Out.Report, methodSeed(M), SolvePool);
   Out.SolveSeconds = SolveTimer.seconds();
   Out.Variables = FG.variableCount();
   Out.Factors = FG.factorCount();
@@ -814,7 +825,7 @@ void InferEngine::prepareCache() {
   Env.f64(C.KindMutexProb);
   // Evidence tracing annotates updates with debug lines that are stored
   // and replayed; entries written with tracing off lack them.
-  Env.u8(std::getenv("ANEK_DEBUG_EVIDENCE") ? 1 : 0);
+  Env.u8(DebugEvidence ? 1 : 0);
   for (const auto &Type : Prog.Types) {
     Env.str(Type->Name);
     Env.u8(Type->IsInterface ? 1 : 0);
@@ -1237,6 +1248,12 @@ InferResult InferEngine::run() {
         std::iota(Pending.begin(), Pending.end(), size_t(0));
       }
 
+      // A wave with one pending job runs it inline on this thread while
+      // the pool idles, so its BP solve may use the pool itself. Only an
+      // owned pool qualifies: on a shared one the passes would queue
+      // behind other requests' jobs.
+      ThreadPool *SolvePool =
+          Pending.size() == 1 ? OwnedPool.get() : nullptr;
       parallelFor(Pool, Pending.size(), [&](size_t J) {
         const size_t I = Pending[J];
         // Attribute the job's allocations to the governing request (a
@@ -1254,7 +1271,7 @@ InferResult InferEngine::run() {
         const int64_t RunStartUs =
             telemetry::enabled() ? telemetry::nowUs() : 0;
         try {
-          Outcomes[I] = analyzeOne(Batch[I]);
+          Outcomes[I] = analyzeOne(Batch[I], SolvePool);
         } catch (const std::exception &E) {
           Outcomes[I].Failed = true;
           Outcomes[I].Error =
@@ -1295,6 +1312,11 @@ InferResult InferEngine::run() {
       telemetry::Span MergeSpan("infer.merge", telemetry::TraceLevel::Phase,
                                 "infer");
       unsigned MergedUpdates = 0, Requeued = 0;
+      // Owners already requeued by this merge. Dirty and FailedMethods
+      // only grow within a merge, and what a requeue marks depends on
+      // the owner alone, so a later update to one of these owners could
+      // mark nothing new: it is stored without measuring its change.
+      std::unordered_set<const MethodDecl *> RequeuedOwners;
       for (size_t I = 0; I != Batch.size(); ++I) {
         MethodDecl *M = Batch[I];
         MethodOutcome &Out = Outcomes[I];
@@ -1331,11 +1353,16 @@ InferResult InferEngine::run() {
           if (!U.DebugLine.empty())
             std::fprintf(stderr, "evidence %s\n", U.DebugLine.c_str());
           ++MergedUpdates;
+          if (RequeuedOwners.count(U.SummaryOwner)) {
+            U.Target->storeOdds(U.IsSelf, U.Site, std::move(U.Odds));
+            continue;
+          }
           double Delta =
               U.IsSelf ? U.Target->setSelfOdds(std::move(U.Odds))
                        : U.Target->setSiteOdds(U.Site, std::move(U.Odds));
           if (Delta <= Opts.SummaryTolerance)
             continue;
+          RequeuedOwners.insert(U.SummaryOwner);
           ++Requeued;
           auto MarkDirty = [&](MethodDecl *T) {
             if (Data.count(T) && !FailedMethods.count(T))

@@ -51,18 +51,25 @@ static double maxDelta(const std::vector<double> &A,
 }
 
 double TargetSummary::setSelfOdds(std::vector<double> Odds) {
-  Odds.resize(size(), 1.0);
   std::vector<double> Before = pooled();
-  SelfOdds = std::move(Odds);
+  storeOdds(/*IsSelf=*/true, CallSiteKey{nullptr, 0}, std::move(Odds));
   return maxDelta(Before, pooled());
 }
 
 double TargetSummary::setSiteOdds(CallSiteKey Site,
                                   std::vector<double> Odds) {
-  Odds.resize(size(), 1.0);
   std::vector<double> Before = pooled();
-  storeSite(Site, Odds);
+  storeOdds(/*IsSelf=*/false, Site, std::move(Odds));
   return maxDelta(Before, pooled());
+}
+
+void TargetSummary::storeOdds(bool IsSelf, const CallSiteKey &Site,
+                              std::vector<double> Odds) {
+  Odds.resize(size(), 1.0);
+  if (IsSelf)
+    SelfOdds = std::move(Odds);
+  else
+    storeSite(Site, Odds);
 }
 
 size_t TargetSummary::sitePosition(const CallSiteKey &Site) const {

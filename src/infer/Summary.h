@@ -85,6 +85,12 @@ public:
   /// change in pooled probability.
   double setSiteOdds(CallSiteKey Site, std::vector<double> Odds);
 
+  /// Stores evidence exactly as setSelfOdds (when \p IsSelf) or
+  /// setSiteOdds(\p Site, ...) would, without pooling before and after
+  /// to measure the change.
+  void storeOdds(bool IsSelf, const CallSiteKey &Site,
+                 std::vector<double> Odds);
+
   /// Pooled probabilities including every evidence source.
   std::vector<double> pooled() const;
 

@@ -17,7 +17,10 @@
 #include "infer/AnekInfer.h"
 #include "lang/PrettyPrinter.h"
 #include "lang/Sema.h"
+#include "support/ThreadPool.h"
+#include "support/Trace.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -35,8 +38,10 @@ namespace fs = std::filesystem;
 
 /// Renders everything observable about an inference run as pointer-free
 /// text: the annotated program, per-method cascade reports, and the
-/// aggregate statistics (minus wall-clock times).
-std::string renderRun(const std::string &Source, unsigned Parallelism) {
+/// aggregate statistics (minus wall-clock times). A non-null \p Pool
+/// stands in for Parallelism, as the batch serving layer's shared pool.
+std::string renderRun(const std::string &Source, unsigned Parallelism,
+                      ThreadPool *Pool = nullptr) {
   DiagnosticEngine Diags;
   std::unique_ptr<Program> Prog = parseAndAnalyze(Source, Diags);
   EXPECT_TRUE(Prog != nullptr) << Diags.str();
@@ -45,6 +50,7 @@ std::string renderRun(const std::string &Source, unsigned Parallelism) {
 
   InferOptions Opts;
   Opts.Parallelism = Parallelism;
+  Opts.Pool = Pool;
   InferResult R = runAnekInfer(*Prog, Opts, &Diags);
 
   std::ostringstream Out;
@@ -198,16 +204,64 @@ TEST(BpConvergenceTest, PmdCorpusConvergesWithoutFallback) {
   expectEverySolveConverges(Corpus.Source);
 }
 
+/// The "ranges" argument of every solver.bp span buffered so far: how
+/// many pool ranges each BP solve's passes were cut into.
+std::vector<unsigned> bpSolveRanges() {
+  static const std::regex RangesRe("\"ranges\":([0-9]+)");
+  std::vector<unsigned> Ranges;
+  for (const telemetry::EventRecord &E : telemetry::snapshotEvents()) {
+    std::smatch Match;
+    if (E.Name == "solver.bp" && std::regex_search(E.Args, Match, RangesRe))
+      Ranges.push_back(static_cast<unsigned>(std::stoul(Match[1])));
+  }
+  return Ranges;
+}
+
+TEST(DeterminismSplitTest, LoneJobSplitsOnlyOnTheEnginesOwnPool) {
+  // Chain.run of a 128-helper chain has ~21k edges, above
+  // SumProductSolver::SplitMinEdges, and it is alone in its waves, so at
+  // -j4 its BP solve runs across the engine's pool. The output must
+  // still be -j1's, byte for byte. On a pool shared with other requests
+  // the engine must never split: the passes would queue behind foreign
+  // jobs.
+  const std::string Source = generateInlineComparison(128).Modular;
+  const std::string Sequential = renderRun(Source, 1);
+  ASSERT_FALSE(Sequential.empty());
+
+  telemetry::setTraceLevel(telemetry::TraceLevel::Method);
+  telemetry::resetTrace();
+  const std::string Owned = renderRun(Source, 4);
+  const std::vector<unsigned> OwnedRanges = bpSolveRanges();
+  telemetry::resetTrace();
+  ThreadPool Shared(4);
+  const std::string SharedRun = renderRun(Source, 1, &Shared);
+  const std::vector<unsigned> SharedRanges = bpSolveRanges();
+  telemetry::setTraceLevel(telemetry::TraceLevel::Off);
+  telemetry::resetTrace();
+
+  EXPECT_EQ(Sequential, Owned);
+  EXPECT_EQ(Sequential, SharedRun);
+  ASSERT_FALSE(OwnedRanges.empty());
+  EXPECT_EQ(OwnedRanges.size(), SharedRanges.size());
+  EXPECT_NE(std::count(OwnedRanges.begin(), OwnedRanges.end(), 4u), 0)
+      << "no solve was split at -j4";
+  EXPECT_EQ(std::count(SharedRanges.begin(), SharedRanges.end(), 1u),
+            static_cast<std::ptrdiff_t>(SharedRanges.size()))
+      << "a solve was split on a shared pool";
+}
+
 TEST(DeterminismDriverTest, InferJobsProduceIdenticalBytes) {
   for (const char *Example : {"spreadsheet", "file", "field"}) {
     std::string ArgsBase =
         "infer --example " + std::string(Example) + " --report";
-    std::string J1, J1Again, J4;
+    std::string J1, J1Again, J4, Jobs4;
     ASSERT_EQ(runToolMasked(ArgsBase + " -j 1", J1), 0) << J1;
     ASSERT_EQ(runToolMasked(ArgsBase + " -j 1", J1Again), 0) << J1Again;
     ASSERT_EQ(runToolMasked(ArgsBase + " -j 4", J4), 0) << J4;
+    ASSERT_EQ(runToolMasked(ArgsBase + " --jobs 4", Jobs4), 0) << Jobs4;
     EXPECT_EQ(J1, J1Again) << Example << ": -j1 not stable across runs";
     EXPECT_EQ(J1, J4) << Example << ": -j4 diverged from -j1";
+    EXPECT_EQ(J1, Jobs4) << Example << ": --jobs 4 diverged from -j1";
   }
 }
 
@@ -245,9 +299,12 @@ TEST(DeterminismDriverTest, CachedWarmRunMatchesColdSequentialBytes) {
 }
 
 TEST(DeterminismDriverTest, VerifyJobsProduceIdenticalBytes) {
-  std::string J1, J4;
+  std::string J1, J4, Jobs4;
   int E1 = runToolMasked("verify --example spreadsheet -j 1", J1);
   int E4 = runToolMasked("verify --example spreadsheet -j 4", J4);
+  int EJobs4 = runToolMasked("verify --example spreadsheet --jobs 4", Jobs4);
   EXPECT_EQ(E1, E4);
+  EXPECT_EQ(E1, EJobs4);
   EXPECT_EQ(J1, J4);
+  EXPECT_EQ(J1, Jobs4);
 }

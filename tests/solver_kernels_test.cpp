@@ -63,6 +63,7 @@ FactorGraph randomGraph(uint64_t Seed) {
 TEST(EdgeLayoutTest, CsrInvariants) {
   FactorGraph G = randomGraph(42);
   const FactorGraph::EdgeLayout &L = G.edgeLayout();
+  const FactorGraph::GibbsLayout &GL = G.gibbsLayout();
 
   // One edge per (factor, slot); factor-major offsets partition them.
   uint32_t Expected = 0;
@@ -73,8 +74,8 @@ TEST(EdgeLayoutTest, CsrInvariants) {
       const uint32_t E = L.FactorOffset[F] + K;
       EXPECT_EQ(L.EdgeVar[E], G.factor(F).Scope[K]);
       EXPECT_EQ(L.EdgeFactor[E], F);
-      EXPECT_EQ(L.EdgeSlotBit[E], uint32_t{1} << K);
-      EXPECT_EQ(L.EdgeVarMask[E], L.EdgeSlotBit[E]); // No repeated vars.
+      EXPECT_EQ(GL.EdgeSlotBit[E], uint32_t{1} << K);
+      EXPECT_EQ(GL.EdgeVarMask[E], GL.EdgeSlotBit[E]); // No repeated vars.
     }
     Expected += static_cast<uint32_t>(G.factor(F).Scope.size());
   }
@@ -90,6 +91,7 @@ TEST(EdgeLayoutTest, CsrInvariants) {
     for (uint32_t I = L.VarOffset[V]; I != L.VarOffset[V + 1]; ++I) {
       const uint32_t E = L.VarEdges[I];
       EXPECT_EQ(L.EdgeVar[E], V);
+      EXPECT_EQ(L.VmFactor[I], L.EdgeFactor[E]);
       EXPECT_FALSE(SeenEdge[E]);
       SeenEdge[E] = true;
       if (I + 1 != L.VarOffset[V + 1])
@@ -104,12 +106,15 @@ TEST(EdgeLayoutTest, InvalidatedByGraphGrowth) {
   VarId A = G.addVariable(0.5), B = G.addVariable(0.5);
   G.addEqualityFactor(A, B, 0.9);
   EXPECT_EQ(G.edgeLayout().edgeCount(), 2u);
+  EXPECT_EQ(G.gibbsLayout().EdgeSlotBit.size(), 2u);
   G.addFactor({B}, {1.0, 2.0});
   EXPECT_EQ(G.edgeLayout().edgeCount(), 3u); // Rebuilt, not stale.
+  EXPECT_EQ(G.gibbsLayout().EdgeSlotBit.size(), 3u);
   VarId C = G.addVariable(0.5);
   G.addEqualityFactor(A, C, 0.9);
   EXPECT_EQ(G.edgeLayout().edgeCount(), 5u);
   EXPECT_EQ(G.edgeLayout().varDegree(C), 1u);
+  EXPECT_EQ(G.gibbsLayout().VmMask.size(), 5u);
 }
 
 TEST(EdgeLayoutTest, RepeatedScopeVariableGetsFullMask) {
@@ -117,11 +122,11 @@ TEST(EdgeLayoutTest, RepeatedScopeVariableGetsFullMask) {
   VarId A = G.addVariable(0.5);
   VarId B = G.addVariable(0.5);
   G.addFactor({A, B, A}, std::vector<double>(8, 1.0));
-  const FactorGraph::EdgeLayout &L = G.edgeLayout();
-  EXPECT_EQ(L.EdgeVarMask[0], 0b101u);
-  EXPECT_EQ(L.EdgeVarMask[1], 0b010u);
-  EXPECT_EQ(L.EdgeVarMask[2], 0b101u);
-  EXPECT_EQ(L.EdgeSlotBit[2], 0b100u);
+  const FactorGraph::GibbsLayout &GL = G.gibbsLayout();
+  EXPECT_EQ(GL.EdgeVarMask[0], 0b101u);
+  EXPECT_EQ(GL.EdgeVarMask[1], 0b010u);
+  EXPECT_EQ(GL.EdgeVarMask[2], 0b101u);
+  EXPECT_EQ(GL.EdgeSlotBit[2], 0b100u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -103,6 +103,37 @@ TEST(TargetSummaryTest, SetOddsReportsDelta) {
   EXPECT_NEAR(T.setSelfOdds(Odds), 0.0, 1e-9);
 }
 
+TEST(TargetSummaryTest, StoreOddsStoresWhatTheSettersStore) {
+  // The merge stores an already-requeued owner's updates through
+  // storeOdds; the evidence must be exactly what the measuring setters
+  // keep, short odds vectors padded the same way.
+  auto Prog = analyze("@States({\"OPEN\", \"CLOSED\"}) class F { }");
+  TargetSummary Set(Prog->findType("F")), Stored(Prog->findType("F"));
+  std::vector<double> Self(Set.size(), 1.0), Site(Set.size(), 1.0);
+  Self[1] = 3.0;
+  Site[NumPermKinds + 1] = 0.25;
+  std::vector<double> Short = {7.0, 0.5};
+  Set.setSelfOdds(Self);
+  Set.setSiteOdds({nullptr, 4}, Site);
+  Set.setSiteOdds({nullptr, 2}, Short);
+  Set.setSiteOdds({nullptr, 4}, Short); // Overwrites site 4.
+  Stored.storeOdds(/*IsSelf=*/true, {nullptr, 0}, Self);
+  Stored.storeOdds(/*IsSelf=*/false, {nullptr, 4}, Site);
+  Stored.storeOdds(/*IsSelf=*/false, {nullptr, 2}, Short);
+  Stored.storeOdds(/*IsSelf=*/false, {nullptr, 4}, Short);
+  auto BitsEqual = [](const std::vector<double> &A,
+                      const std::vector<double> &B) {
+    return A.size() == B.size() &&
+           std::memcmp(A.data(), B.data(), A.size() * sizeof(double)) == 0;
+  };
+  EXPECT_TRUE(BitsEqual(Set.pooled(), Stored.pooled()));
+  EXPECT_TRUE(BitsEqual(Set.pooledWithoutSelf(), Stored.pooledWithoutSelf()));
+  for (uint32_t Index : {0u, 2u, 4u})
+    EXPECT_TRUE(BitsEqual(Set.pooledWithoutSite({nullptr, Index}),
+                          Stored.pooledWithoutSite({nullptr, Index})))
+        << "site " << Index;
+}
+
 TEST(TargetSummaryTest, ConflictingVotesMajorityWins) {
   // The paper's createColIter story in miniature: one site votes for
   // HASNEXT, two vote against; pooled probability ends low.

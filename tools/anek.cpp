@@ -34,7 +34,9 @@
 // hit rate, queue-wait vs solve split, per-request outcomes. --json
 // emits the machine-readable anek-report-v1 document.
 //
-// Built-in examples: spreadsheet, file, field.
+// Built-in examples: spreadsheet, file, field (the paper's running
+// examples), pmd (the Table 1 PMD-scale corpus from generatePmdCorpus())
+// and chain (the Table 3 modular helper chain, 768 helpers).
 //
 // Exit codes (the driver contract, see DESIGN.md):
 //   0  success, no error diagnostics
@@ -47,6 +49,8 @@
 #include "analysis/IrBuilder.h"
 #include "cache/SummaryCache.h"
 #include "corpus/ExampleSources.h"
+#include "corpus/InlineComparison.h"
+#include "corpus/PmdGenerator.h"
 #include "factor/Kernels.h"
 #include "infer/AnekInfer.h"
 #include "lang/PrettyPrinter.h"
@@ -85,7 +89,7 @@ enum ExitCode { ExitOk = 0, ExitDiagnostics = 1, ExitUsage = 2,
 
 void usage() {
   std::fputs("usage: anek <infer|check|verify|pfg|ir> "
-             "<file.mjava | --example spreadsheet|file|field> "
+             "<file.mjava | --example spreadsheet|file|field|pmd|chain> "
              "[--dot] [--method NAME] [--report] [--fault SPEC] "
              "[--jobs N | -j N] [--cache DIR] "
              "[--kernel-backend scalar|avx2|neon|auto] [--trace FILE] "
@@ -224,6 +228,14 @@ bool loadSource(const std::string &Arg, bool IsExample, std::string &Out) {
     }
     if (Arg == "field") {
       Out = fieldExampleSource();
+      return true;
+    }
+    if (Arg == "pmd") {
+      Out = generatePmdCorpus().Source;
+      return true;
+    }
+    if (Arg == "chain") {
+      Out = generateInlineComparison(768).Modular;
       return true;
     }
     std::fprintf(stderr, "anek: unknown example '%s'\n", Arg.c_str());
@@ -587,22 +599,19 @@ int run(int Argc, char **Argv) {
       WantDot = true;
     } else if (Args[I] == "--report") {
       WantReport = true;
-    } else if (((Args[I] == "--jobs" || Args[I] == "-j") &&
-                I + 1 < Args.size()) ||
-               (Args[I].size() > 2 && Args[I].compare(0, 2, "-j") == 0)) {
-      // Accept "-j N", "--jobs N" and the joined "-jN" spelling.
-      const std::string &Count =
-          Args[I].size() > 2 ? Args[I].substr(2) : Args[I + 1];
+    } else if (flagValue(Args, I, "--jobs", Value) ||
+               flagValue(Args, I, "-j", Value) ||
+               (Args[I].compare(0, 2, "-j") == 0 &&
+                !(Value = Args[I].substr(2)).empty())) {
+      // "--jobs N", "--jobs=N", "-j N" or the joined "-jN".
       char *End = nullptr;
-      unsigned long Value = std::strtoul(Count.c_str(), &End, 10);
-      if (!End || *End != '\0' || Value == 0) {
+      unsigned long Count = std::strtoul(Value.c_str(), &End, 10);
+      if (!End || *End != '\0' || Count == 0) {
         std::fprintf(stderr, "anek: bad thread count '%s' (want N >= 1)\n",
-                     Count.c_str());
+                     Value.c_str());
         return ExitUsage;
       }
-      Jobs = static_cast<unsigned>(Value);
-      if (Args[I].size() == 2 || Args[I] == "--jobs")
-        ++I;
+      Jobs = static_cast<unsigned>(Count);
     } else if (flagValue(Args, I, "--cache", Value)) {
       if (Value.empty()) {
         std::fprintf(stderr, "anek: empty cache directory\n");
