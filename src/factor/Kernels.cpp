@@ -6,7 +6,6 @@
 #include "support/Format.h"
 
 #include <atomic>
-#include <cstdlib>
 
 namespace anek {
 namespace kern {
@@ -17,15 +16,7 @@ namespace {
 /// the only per-solve cost.
 std::atomic<const SolverKernels *> Current{nullptr};
 
-bool forceScalarEnv() {
-  const char *Env = std::getenv("ANEK_FORCE_SCALAR");
-  // Any non-empty value other than "0" forces scalar.
-  return Env && Env[0] != '\0' && !(Env[0] == '0' && Env[1] == '\0');
-}
-
 const SolverKernels *detect() {
-  if (forceScalarEnv())
-    return kernelsScalar();
   if (const SolverKernels *K = kernelsAvx2())
     if (cpu::hasAvx2())
       return K;

@@ -206,9 +206,9 @@ const SolverKernels *kernelsScalar();
 const SolverKernels *kernelsAvx2();
 const SolverKernels *kernelsNeon();
 
-/// The active backend. First use resolves it: ANEK_FORCE_SCALAR=1 in the
-/// environment forces scalar; otherwise the best backend the host CPU
-/// supports (cpu::hasAvx2 / cpu::hasNeon), else scalar.
+/// The active backend. First use resolves it to the best backend the host
+/// CPU supports (cpu::hasAvx2 / cpu::hasNeon), else scalar;
+/// setKernelBackend (`--kernel-backend`) overrides it.
 const SolverKernels &solverKernels();
 
 /// Select a backend by name: "scalar", "avx2", "neon", or "auto"

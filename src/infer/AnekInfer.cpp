@@ -480,7 +480,7 @@ Expected<Marginals> InferEngine::solveGraph(const FactorGraph &G,
 
   // The cascade (DESIGN.md): BP -> Gibbs -> exact.
   Marginals BpM = RunBp(SumProductSolver::Options());
-  if (Report.Solve.Converged || !Opts.Fallback)
+  if (Report.Solve.Converged)
     return BpM;
 
   Report.Fallback = true;
@@ -792,16 +792,17 @@ void InferEngine::prepareCache() {
   // Environment digest: the wire version (entries are sealed blobs), the
   // full algorithm-option fingerprint, and the type/signature/annotation
   // level of the program — everything that shapes summary skeletons and
-  // callee resolution without being any one method's body. Threshold,
-  // SummaryTolerance and MaxIters are deliberately excluded: they steer
-  // extraction and scheduling, not what one SOLVE computes, so entries
-  // stay valid across them.
+  // callee resolution without being any one method's body. MaxIters is
+  // deliberately excluded: it steers scheduling, not what one SOLVE
+  // computes, so entries stay valid across it. The constant 1 marks the
+  // always-on fallback cascade; it and the spec priors keep their place
+  // in the digest so existing caches stay valid.
   HashStream Env;
   Env.u32(summaryio::WireVersion);
   Env.u8(static_cast<uint8_t>(Opts.Solver));
-  Env.u8(Opts.Fallback ? 1 : 0);
-  Env.f64(Opts.SpecHi);
-  Env.f64(Opts.SpecLo);
+  Env.u8(1);
+  Env.f64(SpecPriorHigh);
+  Env.f64(SpecPriorLow);
   const ConstraintOptions &C = Opts.Constraints;
   Env.f64(C.L1Branch);
   Env.f64(C.L1Split);
@@ -1004,8 +1005,8 @@ InferResult InferEngine::run() {
   for (const auto &Type : Prog.Types)
     for (const auto &M : Type->Methods)
       Summaries.emplace(M.get(),
-                        MethodSummary::forMethod(*M, Opts.SpecHi,
-                                                 Opts.SpecLo));
+                        MethodSummary::forMethod(*M, SpecPriorHigh,
+                                                 SpecPriorLow));
 
   Phase1.close();
 
@@ -1360,7 +1361,7 @@ InferResult InferEngine::run() {
           double Delta =
               U.IsSelf ? U.Target->setSelfOdds(std::move(U.Odds))
                        : U.Target->setSiteOdds(U.Site, std::move(U.Odds));
-          if (Delta <= Opts.SummaryTolerance)
+          if (Delta <= SummaryTolerance)
             continue;
           RequeuedOwners.insert(U.SummaryOwner);
           ++Requeued;
@@ -1415,11 +1416,11 @@ InferResult InferEngine::run() {
       break;
     if (auto It = Reports.find(M); It != Reports.end() && It->second.Failed)
       continue;
-    if (Opts.RespectDeclared && M->HasDeclaredSpec)
+    if (M->HasDeclaredSpec)
       continue;
     MethodSpec Spec =
         extractSpec(Summaries.at(M),
-                    static_cast<unsigned>(M->Params.size()), Opts.Threshold);
+                    static_cast<unsigned>(M->Params.size()), ExtractThreshold);
     if (M->IsCtor && Spec.Result) {
       // A constructor's "result" is its receiver after construction.
       if (!Spec.ReceiverPost)

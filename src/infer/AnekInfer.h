@@ -46,6 +46,12 @@ enum class SolverChoice { SumProduct, Gibbs, Exact };
 /// Renders a SolverChoice as "bp"/"gibbs"/"exact".
 const char *solverChoiceName(SolverChoice Choice);
 
+/// Extraction threshold t in [0.5, 1) (paper Section 3.4). The spec-prior
+/// strengths are SpecPriorHigh/SpecPriorLow (constraints/VarMap.h).
+inline constexpr double ExtractThreshold = 0.7;
+/// A summary change below this does not requeue dependents.
+inline constexpr double SummaryTolerance = 0.02;
+
 /// Tunables of the inference (paper Sections 3.3-3.4).
 struct InferOptions {
   /// Worklist picks (Figure 9's MaxIters). 0 means 3 passes over the
@@ -53,24 +59,10 @@ struct InferOptions {
   /// periods of the cycle count toward it without being solved
   /// (InferResult::FastForwardedPicks).
   unsigned MaxIters = 0;
-  /// Extraction threshold t in [0.5, 1).
-  double Threshold = 0.7;
-  /// A summary change below this does not requeue dependents.
-  double SummaryTolerance = 0.02;
   SolverChoice Solver = SolverChoice::SumProduct;
   ConstraintOptions Constraints;
-  /// Spec-prior strengths (Section 3.2).
-  double SpecHi = 0.9;
-  double SpecLo = 0.1;
-  /// Keep explicitly declared specs instead of inferred ones.
-  bool RespectDeclared = true;
 
   // Robustness knobs (see DESIGN.md, "Failure model and degradation").
-  /// When the primary solver misses its convergence contract, walk the
-  /// fallback cascade (BP -> Gibbs -> exact; BP beliefs within 1e-2 of
-  /// convergence are kept) instead of silently using unconverged
-  /// beliefs.
-  bool Fallback = true;
   /// Wall-clock budget per SOLVE step in seconds; 0 = unlimited. The
   /// budget is a degradation trigger, not an abort: an expired solve
   /// falls through the cascade and ultimately keeps the best partial

@@ -35,8 +35,7 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
-/// Terminal state for an attempt that ended with error \p S (after the
-/// retry loop declined to go again).
+/// Terminal state for a request whose run ended with error \p S.
 TerminalState stateForFailure(const Status &S) {
   return S.code() == ErrorCode::DeadlineExceeded ? TerminalState::Timeout
                                                  : TerminalState::Failed;
@@ -91,14 +90,8 @@ bool BatchRunner::drainRequested() const {
   return Opts.DrainSignal && *Opts.DrainSignal != 0;
 }
 
-Status BatchRunner::runAttempt(const BatchRequest &R, ThreadPool *SharedPool,
-                               BatchResult &Res) {
-  // The transient-solve control point sits before any real work, so a
-  // retried attempt re-runs the whole request (load, parse, solve).
-  if (faults::anyActive() &&
-      faults::consumeFire(FaultKind::TransientSolve, R.Id))
-    return faults::injectedError(FaultKind::TransientSolve, R.Id);
-
+Status BatchRunner::execute(const BatchRequest &R, ThreadPool *SharedPool,
+                            BatchResult &Res) {
   std::string Source, LoadError;
   if (!loadRequestSource(R, Source, LoadError))
     return Status::error(ErrorCode::InvalidArgument, LoadError);
@@ -121,7 +114,7 @@ Status BatchRunner::runAttempt(const BatchRequest &R, ThreadPool *SharedPool,
   DiagnosticEngine Diags;
   std::unique_ptr<Program> Prog = parseAndAnalyze(Source, Diags);
   if (!Prog) {
-    Res.PeakBytes = std::max(Res.PeakBytes, Charge.peak());
+    Res.PeakBytes = Charge.peak();
     return Status::error(ErrorCode::InvalidArgument, Diags.str());
   }
 
@@ -139,22 +132,21 @@ Status BatchRunner::runAttempt(const BatchRequest &R, ThreadPool *SharedPool,
   }
 
   // Cache-tier wiring: resolve the request's directory through the
-  // driver-injected provider. The provider owns the cache instances
-  // (one per directory, shared across requests and attempts); the engine
-  // gates itself off when this request is deadlined (a per-solve budget
-  // makes results timing-dependent) or a result-perturbing fault is
-  // armed, so wiring it unconditionally here is safe.
+  // driver-injected provider. The provider owns the cache instances (one
+  // per directory, shared across requests); the engine gates itself off
+  // when this request is deadlined (a per-solve budget makes results
+  // timing-dependent) or a result-perturbing fault is armed, so wiring it
+  // unconditionally here is safe.
   const std::string &CacheDir =
       R.CacheDir.empty() ? Opts.DefaultCacheDir : R.CacheDir;
   if (Opts.Cache && !CacheDir.empty())
     InferOpts.Cache = Opts.Cache(CacheDir);
 
   InferResult Inference = runAnekInfer(*Prog, InferOpts, &Diags);
-  Res.PeakBytes = std::max(Res.PeakBytes, Charge.peak());
-  // Cache traffic accumulates across attempts (a retried attempt's hits
-  // are real work saved) and is reported even for failed requests.
-  Res.CacheHits += Inference.Cache.Hits;
-  Res.CacheMisses += Inference.Cache.Misses;
+  Res.PeakBytes = Charge.peak();
+  // Cache traffic is reported even for failed requests.
+  Res.CacheHits = Inference.Cache.Hits;
+  Res.CacheMisses = Inference.Cache.Misses;
   if (!Inference.Aborted.isOk())
     return Inference.Aborted;
 
@@ -166,16 +158,11 @@ Status BatchRunner::runAttempt(const BatchRequest &R, ThreadPool *SharedPool,
   Res.SpecCount = Inference.inferredAnnotationCount();
   // A run that fell back to another solver or isolated a failed method
   // still produced output, but not the output a clean run would have.
-  std::string Reason;
-  if (Inference.MethodsFailed || Inference.FallbackSolves)
-    Reason = formatStr("%u method(s) failed, %u fallback solve(s)",
-                       Inference.MethodsFailed, Inference.FallbackSolves);
-  if (!Reason.empty()) {
+  Res.State = TerminalState::Ok;
+  if (Inference.MethodsFailed || Inference.FallbackSolves) {
     Res.State = TerminalState::Degraded;
-    Res.Reason = std::move(Reason);
-  } else {
-    Res.State = TerminalState::Ok;
-    Res.Reason.clear();
+    Res.Reason = formatStr("%u method(s) failed, %u fallback solve(s)",
+                           Inference.MethodsFailed, Inference.FallbackSolves);
   }
   return Status::ok();
 }
@@ -187,34 +174,15 @@ BatchResult BatchRunner::processOne(const BatchRequest &R,
   Res.Id = R.Id;
   Res.Input = R.Input;
   Res.QueueSeconds = secondsSince(R.AdmitTime);
-
-  RetryPolicy Policy;
-  Policy.MaxAttempts = Opts.MaxAttempts ? Opts.MaxAttempts : 1;
-  Policy.BaseDelaySeconds = Opts.RetryBaseDelaySeconds;
-  Policy.MaxDelaySeconds = Opts.RetryMaxDelaySeconds;
-  Policy.Seed = Opts.Seed;
+  // Every request a worker picks up runs once.
+  Res.Attempts = 1;
 
   auto Start = std::chrono::steady_clock::now();
   const int64_t StartUs = telemetry::nowUs();
   const unsigned Tid = telemetry::currentThreadId();
-  for (;;) {
-    ++Res.Attempts;
-    Status Attempt = runAttempt(R, SharedPool, Res);
-    if (Attempt.isOk())
-      break; // runAttempt set ok/degraded.
-    if (Policy.shouldRetry(Attempt, Res.Attempts) && !drainRequested()) {
-      if (telemetry::enabled(telemetry::TraceLevel::Phase))
-        telemetry::counter("serve.retries").add(1);
-      double Delay = Policy.delaySeconds(R.Id, Res.Attempts + 1);
-      if (Delay > 0.0)
-        std::this_thread::sleep_for(std::chrono::duration<double>(Delay));
-      continue;
-    }
-    Res.State = stateForFailure(Attempt);
-    Res.Reason = Attempt.str();
-    Res.Output.clear();
-    Res.SpecCount = 0;
-    break;
+  if (Status Run = execute(R, SharedPool, Res); !Run) {
+    Res.State = stateForFailure(Run);
+    Res.Reason = Run.str();
   }
   Res.Seconds = secondsSince(Start);
   if (Opts.SlowRequestSeconds > 0.0 &&
@@ -287,7 +255,7 @@ std::vector<BatchResult> BatchRunner::run(std::vector<BatchRequest> Requests) {
           Res.Id = R->Id;
           Res.Input = R->Input;
           Res.State = TerminalState::Failed;
-          Res.Attempts = std::max(Res.Attempts, 1u);
+          Res.Attempts = 1;
           Res.Reason = std::string("internal error: ") + E.what();
         }
         Emit(std::move(Res));

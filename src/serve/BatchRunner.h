@@ -9,16 +9,17 @@
 /// resource governance (DESIGN.md, "Serving model"). The runner owns a
 /// bounded RequestQueue, a fixed set of serving worker threads, and one
 /// shared inference ThreadPool; each request is executed under a
-/// per-request governor (Deadline + memory budget + CancelToken) with
-/// transient failures retried per RetryPolicy. Every offered request ends
-/// in exactly one terminal state (ok/degraded/failed/timeout/shed) and is
-/// reported exactly once through the streaming sink and the returned
-/// (index-ordered) result vector.
+/// per-request governor (Deadline + memory budget + CancelToken) exactly
+/// once: inference is deterministic in its input and seed, so a second
+/// run of a failed request would fail the same way. Every offered
+/// request ends in exactly one terminal state
+/// (ok/degraded/failed/timeout/shed) and is reported exactly once through
+/// the streaming sink and the returned (index-ordered) result vector.
 ///
 /// Graceful drain: requestDrain() — or a flipped DrainSignal, the driver
 /// wires SIGINT/SIGTERM to one — stops admission (remaining offers are
-/// shed with reason "drain"), lets queued and in-flight requests finish,
-/// and suppresses further retry attempts.
+/// shed with reason "drain"), and lets queued and in-flight requests
+/// finish.
 ///
 /// Fault activations made for requests carrying a fault= spec are
 /// process-global and persist after run() returns (the registry has no
@@ -30,8 +31,8 @@
 #ifndef ANEK_SERVE_BATCHRUNNER_H
 #define ANEK_SERVE_BATCHRUNNER_H
 
-#include "serve/RetryPolicy.h"
 #include "serve/Serve.h"
+#include "support/Status.h"
 
 #include <atomic>
 #include <csignal>
@@ -60,10 +61,6 @@ struct BatchOptions {
   unsigned Workers = 4;
   /// RequestQueue capacity.
   size_t QueueCap = 64;
-  /// Retry budget per request (total attempts, first try included).
-  unsigned MaxAttempts = 3;
-  double RetryBaseDelaySeconds = 0.01;
-  double RetryMaxDelaySeconds = 0.5;
   /// Default per-request wall-clock deadline in seconds; 0 = unlimited.
   double DefaultDeadlineSeconds = 0.0;
   /// Default per-request peak-memory budget in bytes; 0 = unlimited.
@@ -80,7 +77,7 @@ struct BatchOptions {
   /// Threads of the shared inference pool (created only when some request
   /// has jobs > 1); 0 = one per hardware thread.
   unsigned PoolThreads = 0;
-  /// Mixed into solver seeds and retry jitter.
+  /// Mixed into solver seeds.
   uint64_t Seed = 1;
   /// When set, a full queue sheds instead of backpressuring the producer
   /// (load tests and the throughput bench; the batch driver keeps the
@@ -102,8 +99,8 @@ struct BatchOptions {
   /// thread that finished the request (serialized by the runner). The
   /// JSONL stream writer of `anek batch` plugs in here.
   std::function<void(const BatchResult &)> Sink;
-  /// Async-signal drain flag: the runner polls it at admission and retry
-  /// boundaries. The driver points this at its SIGINT/SIGTERM flag.
+  /// Async-signal drain flag: the runner polls it at admission. The
+  /// driver points this at its SIGINT/SIGTERM flag.
   const volatile std::sig_atomic_t *DrainSignal = nullptr;
 };
 
@@ -117,16 +114,16 @@ public:
   /// ordered by request index. Blocks until done (or drained).
   std::vector<BatchResult> run(std::vector<BatchRequest> Requests);
 
-  /// Initiates graceful drain: stop admitting, finish in-flight work,
-  /// stop retrying. Safe from any thread; idempotent.
+  /// Initiates graceful drain: stop admitting, finish in-flight work.
+  /// Safe from any thread; idempotent.
   void requestDrain();
 
   bool drainRequested() const;
 
 private:
   BatchResult processOne(const BatchRequest &R, ThreadPool *SharedPool);
-  Status runAttempt(const BatchRequest &R, ThreadPool *SharedPool,
-                    BatchResult &Res);
+  Status execute(const BatchRequest &R, ThreadPool *SharedPool,
+                 BatchResult &Res);
 
   BatchOptions Opts;
   std::atomic<bool> Drain{false};

@@ -13,6 +13,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 using namespace anek;
@@ -61,6 +62,8 @@ bool parseByteCount(const std::string &Text, long long &Out) {
   } else if (End != Text.size()) {
     return false;
   }
+  if (Value > std::numeric_limits<long long>::max() / Scale)
+    return false;
   Out = Value * Scale;
   return true;
 }
@@ -100,17 +103,11 @@ anek::serve::parseManifest(const std::string &Text) {
           return lineError(LineNo, "empty id");
         R.Id = Value;
       } else if (Key == "jobs") {
-        try {
-          R.Jobs = static_cast<unsigned>(std::stoul(Value));
-        } catch (...) {
+        if (!parseUnsigned(Value, R.Jobs))
           return lineError(LineNo, "bad jobs value '" + Value + "'");
-        }
       } else if (Key == "deadline") {
-        try {
-          R.DeadlineSeconds = std::stod(Value);
-        } catch (...) {
+        if (!parseFinite(Value, R.DeadlineSeconds))
           return lineError(LineNo, "bad deadline value '" + Value + "'");
-        }
         if (R.DeadlineSeconds < 0.0)
           return lineError(LineNo, "negative deadline");
       } else if (Key == "mem") {

@@ -14,8 +14,8 @@
 ///   ok        inference completed, no degradation
 ///   degraded  inference completed, but methods failed in isolation or
 ///             fallback solvers were used
-///   failed    the request cannot produce specs (bad input, mem-budget,
-///             retries exhausted, internal error)
+///   failed    the request cannot produce specs (bad input or fault
+///             spec, mem-budget, internal error)
 ///   timeout   the per-request deadline cancelled the run at a wave
 ///             boundary
 ///   shed      admission control rejected the request (queue full, or a
@@ -47,7 +47,7 @@ struct BatchRequest {
   /// Position in the offered stream; results are returned in this order.
   unsigned Index = 0;
   /// Stable identifier; "req<Index>" when the manifest names none. Fault
-  /// filters and retry jitter key off it.
+  /// filters key off it.
   std::string Id;
   /// "example:NAME" (built-in corpus example) or an .mjava path.
   std::string Input;
@@ -61,7 +61,7 @@ struct BatchRequest {
   /// Peak-memory budget in bytes; < 0 = batch default, 0 = unlimited.
   long long MemBudgetBytes = -1;
   /// Fault spec activated for the whole run (the author scopes filters to
-  /// this request, e.g. "transient-solve*2:req7").
+  /// this request, e.g. "mem-spike:req7").
   std::string FaultSpec;
   /// Summary-cache directory for this request; empty = batch default
   /// (which also defaults to empty = no caching). Effective only when the
@@ -82,7 +82,9 @@ struct BatchResult {
   std::string Id;
   std::string Input;
   TerminalState State = TerminalState::Failed;
-  /// Execution attempts made (0 for shed requests).
+  /// 1 when a worker ran the request; 0 when it was shed or failed before
+  /// admission (a malformed fault spec). Inference is deterministic, so a
+  /// request runs at most once.
   unsigned Attempts = 0;
   /// Why the request ended in a non-ok state; empty for ok.
   std::string Reason;
@@ -91,7 +93,7 @@ struct BatchResult {
   std::string Output;
   /// Methods that received a non-empty inferred spec.
   unsigned SpecCount = 0;
-  /// Wall-clock seconds across all attempts (queue wait excluded).
+  /// Wall-clock seconds of the run (queue wait excluded).
   double Seconds = 0.0;
   /// Seconds the request waited in the queue before a worker picked it
   /// up (0 for shed requests — they never reach a worker). QueueSeconds
@@ -100,7 +102,7 @@ struct BatchResult {
   double QueueSeconds = 0.0;
   /// Peak-memory watermark observed by the governor, in bytes.
   long long PeakBytes = 0;
-  /// Summary-cache hits and misses across this request's attempts (both 0
+  /// Summary-cache hits and misses of this request's run (both 0
   /// when the request ran uncached). A warm re-run of an unchanged input
   /// shows hits == solves and misses == 0, which is how `anek report`
   /// computes the batch's cache hit rate.

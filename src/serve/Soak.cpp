@@ -25,7 +25,6 @@ namespace {
 /// Which chaos a faulted request gets. Each mode has a contracted
 /// terminal state the report checks for.
 enum class ChaosMode : unsigned {
-  Transient,  ///< transient-solve*K -> recovers, attempts == K + 1
   SolveFail,  ///< solve-fail on one method -> degraded
   MemSpike,   ///< mem-spike + tight budget -> failed (mem-budget)
   TinyDeadline, ///< 1ns deadline -> timeout
@@ -89,8 +88,7 @@ SoakReport anek::serve::runSoak(const SoakConfig &Cfg) {
   struct Plan {
     unsigned Example = 0;
     bool Faulted = false;
-    ChaosMode Mode = ChaosMode::Transient;
-    unsigned FireBudget = 0; ///< K of transient-solve*K.
+    ChaosMode Mode = ChaosMode::SolveFail;
   };
   std::vector<Plan> Plans(Cfg.Requests);
   std::vector<BatchRequest> Requests(Cfg.Requests);
@@ -101,8 +99,6 @@ SoakReport anek::serve::runSoak(const SoakConfig &Cfg) {
     if (P.Faulted)
       P.Mode = static_cast<ChaosMode>(
           Gen.below(static_cast<uint64_t>(ChaosMode::NumModes)));
-    if (P.Faulted && P.Mode == ChaosMode::Transient)
-      P.FireBudget = static_cast<unsigned>(Gen.range(1, 2));
 
     BatchRequest &R = Requests[I];
     R.Index = I;
@@ -111,10 +107,6 @@ SoakReport anek::serve::runSoak(const SoakConfig &Cfg) {
     if (!P.Faulted)
       continue;
     switch (P.Mode) {
-    case ChaosMode::Transient:
-      R.FaultSpec = formatStr("transient-solve*%u:%s", P.FireBudget,
-                              R.Id.c_str());
-      break;
     case ChaosMode::SolveFail:
       R.FaultSpec =
           "solve-fail:" + R.Id + "/" + Baselines[P.Example].Method;
@@ -137,12 +129,6 @@ SoakReport anek::serve::runSoak(const SoakConfig &Cfg) {
   BatchOptions Opts;
   Opts.Workers = Cfg.Workers;
   Opts.QueueCap = Cfg.QueueCap;
-  // Transient chaos consumes up to 2 failed attempts; leave headroom so
-  // every transient request is contracted to recover.
-  Opts.MaxAttempts = 4;
-  // Soak throughput matters more than realistic pacing.
-  Opts.RetryBaseDelaySeconds = 0.0005;
-  Opts.RetryMaxDelaySeconds = 0.002;
   Opts.Seed = Cfg.Seed;
   BatchRunner Runner(Opts);
 
@@ -184,14 +170,6 @@ SoakReport anek::serve::runSoak(const SoakConfig &Cfg) {
       continue;
     }
     switch (P.Mode) {
-    case ChaosMode::Transient:
-      Expect(CleanState, "transient-solve recovers");
-      if (Res.Attempts != P.FireBudget + 1)
-        Violate(I, formatStr("expected %u attempts, got %u",
-                             P.FireBudget + 1, Res.Attempts));
-      if (Res.State == CleanState && Res.Output != B.Output)
-        Violate(I, "recovered output differs from sequential baseline");
-      break;
     case ChaosMode::SolveFail:
       Expect(TerminalState::Degraded, "solve-fail isolates the method");
       break;

@@ -12,9 +12,8 @@
 ///  - every offered request reaches a terminal state (no lost requests,
 ///    no crash);
 ///  - each injected fault produces exactly its contracted terminal state
-///    (transient-solve recovers with the exact attempt count, solve-fail
-///    degrades, mem-spike fails on the memory budget, a tiny deadline
-///    times out, queue-full sheds);
+///    (solve-fail degrades, mem-spike fails on the memory budget, a tiny
+///    deadline times out, queue-full sheds);
 ///  - non-faulted requests are byte-identical to a sequential baseline
 ///    computed in-process with the same seed;
 ///  - a faulted request never perturbs its neighbors (every fault filter
@@ -42,8 +41,7 @@ struct SoakConfig {
   unsigned Requests = 500;
   /// Serving workers (requests in flight concurrently).
   unsigned Workers = 4;
-  /// Seeds both the chaos assignment and the batch (solver seeds,
-  /// retry jitter).
+  /// Seeds both the chaos assignment and the batch's solver seeds.
   uint64_t Seed = 1;
   /// Fraction of requests that get a fault, in [0, 1].
   double FaultRate = 0.4;

@@ -30,12 +30,25 @@ public:
   /// Unlimited: never expires (except under the 'deadline' fault).
   Deadline() = default;
 
-  /// Expires \p Seconds from now (<= 0 means already expired).
+  /// Expires \p Seconds from now (<= 0 or NaN means already expired). A
+  /// budget past the clock's range saturates at its maximum expiry.
   static Deadline afterSeconds(double Seconds) {
     Deadline D;
     D.HasExpiry = true;
-    D.Expiry = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                  std::chrono::duration<double>(Seconds));
+    const Clock::time_point Now = Clock::now();
+    D.Expiry = Now;
+    if (!(Seconds > 0.0))
+      return D;
+    // Range-checked in ticks first: converting an out-of-range double to
+    // the clock's integer rep, or adding past time_point::max(), is
+    // undefined behaviour.
+    double Ticks = std::chrono::duration<double, Clock::period>(
+                       std::chrono::duration<double>(Seconds))
+                       .count();
+    Clock::duration Room = Clock::time_point::max() - Now;
+    D.Expiry = Ticks < static_cast<double>(Room.count())
+                   ? Now + Clock::duration(static_cast<Clock::rep>(Ticks))
+                   : Clock::time_point::max();
     return D;
   }
 

@@ -68,9 +68,6 @@ constexpr std::array<FaultInfo, NumFaultKinds> FaultTable = {{
     {"queue-full",
      "batch admission control behaves as if the request queue were "
      "saturated; the request is shed"},
-    {"transient-solve",
-     "a batch attempt fails retryably until the *N fire budget is "
-     "exhausted (exercises retry/backoff)"},
     {"mem-spike",
      "the resource governor observes a synthetic allocation spike that "
      "blows any memory budget"},
@@ -200,11 +197,7 @@ Status faults::injectedError(FaultKind Kind, const std::string &Label) {
                         "' injected";
   if (!Label.empty())
     Message += " at " + Label;
-  // Transient kinds map to the retryable classes (see RetryPolicy).
-  return Status::error(Kind == FaultKind::TransientSolve
-                           ? ErrorCode::Unavailable
-                           : ErrorCode::FaultInjected,
-                       Message);
+  return Status::error(ErrorCode::FaultInjected, Message);
 }
 
 Status faults::activateSpec(const std::string &Spec) {

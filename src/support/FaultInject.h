@@ -18,7 +18,7 @@
 /// method's qualified name, or a batch request id):
 ///
 ///   ANEK_FAULT=bp-nonconverge,solve-fail:Row.createColIter anek infer ...
-///   anek batch m.txt --fault transient-solve*2:req7
+///   anek batch m.txt --fault solve-fail:req7/Row.createColIter
 ///
 /// Run `anek faults` for the live fault vocabulary; the kinds are:
 ///   bp-nonconverge  belief propagation reports non-convergence
@@ -28,8 +28,6 @@
 ///   solve-fail      a method's SOLVE step fails outright (isolation probe)
 ///   queue-full      batch admission control behaves as if the request
 ///                   queue were saturated (the request is shed)
-///   transient-solve a batch attempt fails retryably until the fire
-///                   budget is exhausted (exercises retry/backoff)
 ///   mem-spike       the resource governor observes a synthetic
 ///                   allocation spike that blows any memory budget
 ///   wire-corrupt    a summary-cache blob read from disk has a byte
@@ -56,11 +54,10 @@ enum class FaultKind : unsigned {
   AllocPerturb,
   SolveFailure,
   QueueFull,
-  TransientSolve,
   MemSpike,
   WireCorrupt,
 };
-constexpr unsigned NumFaultKinds = 8;
+constexpr unsigned NumFaultKinds = 7;
 
 /// Spec name of a fault kind ("bp-nonconverge", ...).
 const char *faultKindName(FaultKind Kind);
@@ -93,15 +90,13 @@ bool kindActive(FaultKind Kind);
 /// Consuming check for budgeted faults: like active(), but decrements the
 /// matching activation's fire budget. Returns true while the budget holds
 /// (an unbudgeted activation fires forever); once a budget reaches zero
-/// the activation is exhausted and stops matching. The `transient-solve`
-/// control point uses this so "fails the first N attempts, then succeeds"
-/// is one spec: `transient-solve*N:site`.
+/// the activation is exhausted and stops matching. The `wire-corrupt`
+/// control point uses this so "corrupt the first N cache reads" is one
+/// spec: `wire-corrupt*N:cache`.
 bool consumeFire(FaultKind Kind, const std::string &Label = std::string());
 
-/// Convenience: an error Status naming the fault, for sites that surface
-/// the fault as a Status. The transient kind maps to the retryable
-/// class — transient-solve yields ErrorCode::Unavailable — and all
-/// others to ErrorCode::FaultInjected.
+/// Convenience: an ErrorCode::FaultInjected Status naming the fault, for
+/// sites that surface the fault as a Status.
 Status injectedError(FaultKind Kind, const std::string &Label);
 
 /// Activates \p Spec ("name[*N][:filter][,...]") on top of the current

@@ -38,10 +38,6 @@ enum class ErrorCode {
   Unsatisfiable,
   /// A fault-injection control point fired (tests only).
   FaultInjected,
-  /// A transient failure that is expected to clear on retry. The serving
-  /// layer's RetryPolicy retries this class; everything else is terminal
-  /// for the attempt.
-  Unavailable,
   /// An invariant the library relies on failed; a bug, not bad input.
   Internal,
 };

@@ -3,6 +3,9 @@
 #include "support/StringUtils.h"
 
 #include <cctype>
+#include <cmath>
+#include <cstdlib>
+#include <limits>
 
 using namespace anek;
 
@@ -58,4 +61,30 @@ uint64_t anek::stableHash64(const std::string &S) {
     Hash *= 0x100000001B3ULL; // FNV prime.
   }
   return Hash;
+}
+
+bool anek::parseUnsigned(const std::string &Text, unsigned &Out) {
+  if (Text.empty())
+    return false;
+  uint64_t Value = 0;
+  for (char C : Text) {
+    if (C < '0' || C > '9')
+      return false;
+    Value = Value * 10 + static_cast<uint64_t>(C - '0');
+    if (Value > std::numeric_limits<unsigned>::max())
+      return false;
+  }
+  Out = static_cast<unsigned>(Value);
+  return true;
+}
+
+bool anek::parseFinite(const std::string &Text, double &Out) {
+  if (Text.empty() || std::isspace(static_cast<unsigned char>(Text[0])))
+    return false;
+  char *End = nullptr;
+  double Value = std::strtod(Text.c_str(), &End);
+  if (End != Text.c_str() + Text.size() || !std::isfinite(Value))
+    return false;
+  Out = Value;
+  return true;
 }

@@ -35,6 +35,15 @@ std::string trim(const std::string &S);
 std::string join(const std::vector<std::string> &Parts,
                  const std::string &Sep);
 
+/// Parses all of \p Text as a decimal count: digits only (no sign, space
+/// or suffix), at most UINT_MAX. Leaves \p Out untouched on failure.
+bool parseUnsigned(const std::string &Text, unsigned &Out);
+
+/// Parses all of \p Text as a finite number (no leading space, trailing
+/// characters, nan or inf, and nothing too large for a double). Leaves
+/// \p Out untouched on failure.
+bool parseFinite(const std::string &Text, double &Out);
+
 } // namespace anek
 
 #endif // ANEK_SUPPORT_STRINGUTILS_H

@@ -24,6 +24,7 @@
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <sys/wait.h>
@@ -197,6 +198,21 @@ TEST_F(RobustnessTest, DeadlineIterationBudget) {
   EXPECT_FALSE(Deadline().expired(1000000));
   EXPECT_TRUE(Deadline().unlimited());
   EXPECT_FALSE(D.unlimited());
+}
+
+TEST_F(RobustnessTest, WallClockDeadlineSaturatesOutOfRange) {
+  // Budgets past the clock's range saturate instead of overflowing the
+  // double -> tick conversion; non-positive (and NaN) ones are expired.
+  for (double Seconds : {1e300, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::max()}) {
+    Deadline D = Deadline::afterSeconds(Seconds);
+    EXPECT_FALSE(D.expired()) << Seconds;
+    EXPECT_GT(D.remainingSeconds(), 1e8) << Seconds;
+  }
+  EXPECT_GT(Deadline::afterSeconds(3600.0).remainingSeconds(), 3500.0);
+  for (double Seconds : {0.0, -1e300, -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_TRUE(Deadline::afterSeconds(Seconds).expired()) << Seconds;
 }
 
 TEST_F(RobustnessTest, ExactSolverRejectsOversizedGraphs) {
@@ -495,7 +511,7 @@ TEST_F(RobustnessTest, FaultVocabularyIsCompleteAndListed) {
   // The static_assert in FaultInject.cpp keeps the table in sync at
   // compile time; this checks the runtime surface: every kind has a
   // distinct name, a description, and shows up in `anek faults`.
-  ASSERT_EQ(NumFaultKinds, 8u);
+  ASSERT_EQ(NumFaultKinds, 7u);
   std::string FaultsOutput;
   EXPECT_EQ(runTool("faults", &FaultsOutput), 0);
   std::string ListOutput;
@@ -516,37 +532,37 @@ TEST_F(RobustnessTest, FaultVocabularyIsCompleteAndListed) {
 
 TEST_F(RobustnessTest, NewFaultKindsActivateAndClassify) {
   Status Ok = faults::activateSpec(
-      "queue-full:reqA, transient-solve*1:reqB, mem-spike");
+      "queue-full:reqA, wire-corrupt*1:cache, mem-spike");
   ASSERT_TRUE(Ok.isOk()) << Ok.str();
   EXPECT_TRUE(faults::active(FaultKind::QueueFull, "reqA"));
   EXPECT_FALSE(faults::active(FaultKind::QueueFull, "reqZ"));
-  EXPECT_TRUE(faults::active(FaultKind::TransientSolve, "reqB"));
+  EXPECT_TRUE(faults::active(FaultKind::WireCorrupt, "cache"));
   EXPECT_TRUE(faults::active(FaultKind::MemSpike, "anything"));
 
-  // transient-solve is the retryable class; the others are not.
-  EXPECT_EQ(faults::injectedError(FaultKind::TransientSolve, "reqB").code(),
-            ErrorCode::Unavailable);
-  EXPECT_EQ(faults::injectedError(FaultKind::MemSpike, "x").code(),
-            ErrorCode::FaultInjected);
+  // Every kind surfaces as the one FaultInjected class.
+  for (unsigned K = 0; K != NumFaultKinds; ++K)
+    EXPECT_EQ(faults::injectedError(static_cast<FaultKind>(K), "x").code(),
+              ErrorCode::FaultInjected)
+        << faultKindName(static_cast<FaultKind>(K));
 }
 
 TEST_F(RobustnessTest, FireBudgetConsumesAndExhausts) {
-  ASSERT_TRUE(faults::activateSpec("transient-solve*2:req1").isOk());
+  ASSERT_TRUE(faults::activateSpec("wire-corrupt*2:cache").isOk());
   // Non-consuming queries never burn the budget.
-  EXPECT_TRUE(faults::active(FaultKind::TransientSolve, "req1"));
-  EXPECT_TRUE(faults::active(FaultKind::TransientSolve, "req1"));
+  EXPECT_TRUE(faults::active(FaultKind::WireCorrupt, "cache"));
+  EXPECT_TRUE(faults::active(FaultKind::WireCorrupt, "cache"));
   // Two consuming fires, then the activation is exhausted.
-  EXPECT_TRUE(faults::consumeFire(FaultKind::TransientSolve, "req1"));
-  EXPECT_TRUE(faults::consumeFire(FaultKind::TransientSolve, "req1"));
-  EXPECT_FALSE(faults::consumeFire(FaultKind::TransientSolve, "req1"));
-  EXPECT_FALSE(faults::active(FaultKind::TransientSolve, "req1"));
+  EXPECT_TRUE(faults::consumeFire(FaultKind::WireCorrupt, "cache"));
+  EXPECT_TRUE(faults::consumeFire(FaultKind::WireCorrupt, "cache"));
+  EXPECT_FALSE(faults::consumeFire(FaultKind::WireCorrupt, "cache"));
+  EXPECT_FALSE(faults::active(FaultKind::WireCorrupt, "cache"));
 
   // Malformed budgets are rejected atomically.
-  EXPECT_EQ(faults::activateSpec("transient-solve*zero").code(),
+  EXPECT_EQ(faults::activateSpec("wire-corrupt*zero").code(),
             ErrorCode::InvalidArgument);
-  EXPECT_EQ(faults::activateSpec("transient-solve*0").code(),
+  EXPECT_EQ(faults::activateSpec("wire-corrupt*0").code(),
             ErrorCode::InvalidArgument);
-  EXPECT_EQ(faults::activateSpec("transient-solve*").code(),
+  EXPECT_EQ(faults::activateSpec("wire-corrupt*").code(),
             ErrorCode::InvalidArgument);
 }
 
@@ -554,16 +570,16 @@ TEST_F(RobustnessTest, StackedScopedFaultsCoexistAndUnwind) {
   faults::ScopedFault Queue(FaultKind::QueueFull, "reqA");
   {
     faults::ScopedFault Spike(FaultKind::MemSpike);
-    faults::ScopedFault Transient(FaultKind::TransientSolve, "reqB", 1);
+    faults::ScopedFault Corrupt(FaultKind::WireCorrupt, "cache", 1);
     EXPECT_TRUE(faults::active(FaultKind::QueueFull, "reqA"));
     EXPECT_TRUE(faults::active(FaultKind::MemSpike));
-    EXPECT_TRUE(faults::consumeFire(FaultKind::TransientSolve, "reqB"));
-    EXPECT_FALSE(faults::consumeFire(FaultKind::TransientSolve, "reqB"));
+    EXPECT_TRUE(faults::consumeFire(FaultKind::WireCorrupt, "cache"));
+    EXPECT_FALSE(faults::consumeFire(FaultKind::WireCorrupt, "cache"));
   }
   // Inner scopes unwound; the outer activation is untouched.
   EXPECT_TRUE(faults::active(FaultKind::QueueFull, "reqA"));
   EXPECT_FALSE(faults::active(FaultKind::MemSpike));
-  EXPECT_FALSE(faults::active(FaultKind::TransientSolve, "reqB"));
+  EXPECT_FALSE(faults::active(FaultKind::WireCorrupt, "cache"));
 }
 
 TEST_F(RobustnessTest, FaultScopePrefixesSolveFailureSites) {
@@ -601,8 +617,8 @@ TEST_F(RobustnessTest, DriverAcceptsJoinedFaultSpelling) {
   EXPECT_EQ(Exit, 0) << Output;
   EXPECT_NE(Output.find("(fallback)"), std::string::npos) << Output;
   // Malformed specs are usage errors in either spelling.
-  EXPECT_EQ(runTool("infer --example file --fault=transient-solve*zero"), 2);
-  EXPECT_EQ(runTool("infer --example file --fault transient-solve*zero"), 2);
+  EXPECT_EQ(runTool("infer --example file --fault=wire-corrupt*zero"), 2);
+  EXPECT_EQ(runTool("infer --example file --fault wire-corrupt*zero"), 2);
 }
 
 } // namespace

@@ -1,10 +1,9 @@
 //===- serve_test.cpp - Serving-layer unit and driver tests ----------------===//
 //
 // The serving suite (DESIGN.md, "Serving model"): terminal-state
-// contract, admission control and load shedding, retry/backoff over the
-// transient class, per-request deadlines and memory budgets, manifest
-// parsing, and the `anek batch` driver surface including graceful drain
-// on SIGINT.
+// contract, admission control and load shedding, per-request deadlines
+// and memory budgets, manifest parsing, and the `anek batch` driver
+// surface including graceful drain on SIGINT.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,7 +11,6 @@
 #include "serve/BatchRunner.h"
 #include "serve/Manifest.h"
 #include "serve/RequestQueue.h"
-#include "serve/RetryPolicy.h"
 #include "serve/Serve.h"
 #include "support/Cancel.h"
 #include "support/FaultInject.h"
@@ -95,7 +93,7 @@ TEST_F(ServeTest, JsonLineCarriesSchemaAndState) {
   Res.Id = "req3";
   Res.Input = "example:file";
   Res.State = TerminalState::Timeout;
-  Res.Attempts = 2;
+  Res.Attempts = 1;
   Res.CacheHits = 4;
   Res.CacheMisses = 1;
   Res.Reason = "run budget expired";
@@ -103,7 +101,7 @@ TEST_F(ServeTest, JsonLineCarriesSchemaAndState) {
   EXPECT_NE(Line.find("\"schema\": \"anek-batch-v1\""), std::string::npos);
   EXPECT_NE(Line.find("\"state\": \"timeout\""), std::string::npos);
   EXPECT_NE(Line.find("\"id\": \"req3\""), std::string::npos);
-  EXPECT_NE(Line.find("\"attempts\": 2"), std::string::npos);
+  EXPECT_NE(Line.find("\"attempts\": 1"), std::string::npos);
   EXPECT_NE(Line.find("\"queue_seconds\""), std::string::npos);
   EXPECT_NE(Line.find("\"cache_hits\": 4"), std::string::npos);
   EXPECT_NE(Line.find("\"cache_misses\": 1"), std::string::npos);
@@ -120,7 +118,7 @@ TEST_F(ServeTest, ManifestParsesKeysAndDefaults) {
       "\n"
       "example:file\n"
       "p/q.mjava id=alpha jobs=4 deadline=2.5 mem=64m "
-      "fault=transient-solve*2:alpha cache=warm/dir\n");
+      "fault=mem-spike:alpha cache=warm/dir\n");
   ASSERT_TRUE(R.hasValue()) << R.status().str();
   ASSERT_EQ(R->size(), 2u);
   EXPECT_EQ((*R)[0].Id, "req0");
@@ -133,7 +131,7 @@ TEST_F(ServeTest, ManifestParsesKeysAndDefaults) {
   EXPECT_EQ((*R)[1].Jobs, 4u);
   EXPECT_DOUBLE_EQ((*R)[1].DeadlineSeconds, 2.5);
   EXPECT_EQ((*R)[1].MemBudgetBytes, 64LL << 20);
-  EXPECT_EQ((*R)[1].FaultSpec, "transient-solve*2:alpha");
+  EXPECT_EQ((*R)[1].FaultSpec, "mem-spike:alpha");
   EXPECT_EQ((*R)[1].CacheDir, "warm/dir");
 }
 
@@ -148,8 +146,18 @@ TEST_F(ServeTest, ManifestRejectsMalformedLinesWithLineNumbers) {
   ExpectBad("example:file\nx.mjava bogus\n", "line 2");
   ExpectBad("x.mjava frobs=3\n", "unknown key");
   ExpectBad("x.mjava jobs=banana\n", "bad jobs");
+  // Whole tokens only: no numeric prefix, no wrapped negative.
+  ExpectBad("x.mjava jobs=4x\n", "bad jobs");
+  ExpectBad("x.mjava jobs=-1\n", "bad jobs");
+  ExpectBad("x.mjava jobs=4294967296\n", "bad jobs");
   ExpectBad("x.mjava deadline=-1\n", "negative deadline");
+  ExpectBad("x.mjava deadline=2s\n", "bad deadline");
+  // Non-finite deadlines must not mean "unlimited" or overflow the clock.
+  ExpectBad("x.mjava deadline=nan\n", "bad deadline");
+  ExpectBad("x.mjava deadline=inf\n", "bad deadline");
+  ExpectBad("x.mjava deadline=1e400\n", "bad deadline");
   ExpectBad("x.mjava mem=12q\n", "bad mem");
+  ExpectBad("x.mjava mem=9999999999g\n", "bad mem");
   ExpectBad("x.mjava id=\n", "empty id");
   ExpectBad("x.mjava cache=\n", "empty cache");
   ExpectBad("x.mjava shards=2\n", "unknown key");
@@ -174,80 +182,6 @@ TEST_F(ServeTest, LoadRequestSourceResolvesExamplesAndFiles) {
   R.Source = "class A { }";
   EXPECT_TRUE(loadRequestSource(R, Source, Error));
   EXPECT_EQ(Source, "class A { }");
-}
-
-//===----------------------------------------------------------------------===//
-// RetryPolicy
-//===----------------------------------------------------------------------===//
-
-TEST_F(ServeTest, RetryPolicyRetriesOnlyTransientFailures) {
-  RetryPolicy Policy;
-  Policy.MaxAttempts = 3;
-  Status Transient = Status::error(ErrorCode::Unavailable, "blip");
-  Status Permanent = Status::error(ErrorCode::InvalidArgument, "bad");
-  EXPECT_TRUE(RetryPolicy::isTransient(Transient));
-  EXPECT_FALSE(RetryPolicy::isTransient(Permanent));
-  EXPECT_TRUE(Policy.shouldRetry(Transient, 1));
-  EXPECT_TRUE(Policy.shouldRetry(Transient, 2));
-  EXPECT_FALSE(Policy.shouldRetry(Transient, 3)); // Budget spent.
-  EXPECT_FALSE(Policy.shouldRetry(Permanent, 1));
-  EXPECT_FALSE(Policy.shouldRetry(Status::ok(), 1));
-}
-
-TEST_F(ServeTest, TransientClassIsExactlyUnavailable) {
-  // The retryable set is typed, not heuristic: Unavailable (transient
-  // solve blips). Everything else is terminal for the attempt loop.
-  EXPECT_TRUE(RetryPolicy::isTransient(
-      Status::error(ErrorCode::Unavailable, "blip")));
-  const ErrorCode Terminal[] = {
-      ErrorCode::InvalidArgument, ErrorCode::ResourceExhausted,
-      ErrorCode::DeadlineExceeded, ErrorCode::Unsatisfiable,
-      ErrorCode::FaultInjected,    ErrorCode::Internal,
-  };
-  for (ErrorCode Code : Terminal)
-    EXPECT_FALSE(RetryPolicy::isTransient(Status::error(Code, "x")))
-        << "code " << static_cast<int>(Code);
-  EXPECT_FALSE(RetryPolicy::isTransient(Status::ok()));
-}
-
-TEST_F(ServeTest, BackoffIsCappedExponentialWithDeterministicJitter) {
-  RetryPolicy Policy;
-  Policy.BaseDelaySeconds = 0.01;
-  Policy.MaxDelaySeconds = 0.05;
-  EXPECT_DOUBLE_EQ(Policy.delaySeconds("req", 1), 0.0);
-  double D2 = Policy.delaySeconds("req", 2);
-  double D3 = Policy.delaySeconds("req", 3);
-  double D9 = Policy.delaySeconds("req", 9);
-  // Jittered into [0.5, 1.0] x the exponential step.
-  EXPECT_GE(D2, 0.005);
-  EXPECT_LE(D2, 0.01);
-  EXPECT_GE(D3, 0.01);
-  EXPECT_LE(D3, 0.02);
-  EXPECT_LE(D9, 0.05); // Capped.
-  // Deterministic: same (label, attempt, seed) -> same delay; different
-  // labels decorrelate.
-  EXPECT_DOUBLE_EQ(D2, Policy.delaySeconds("req", 2));
-  RetryPolicy Reseeded = Policy;
-  Reseeded.Seed = 99;
-  EXPECT_NE(Policy.delaySeconds("req", 2), Reseeded.delaySeconds("req", 2));
-  EXPECT_NE(Policy.delaySeconds("reqA", 2), Policy.delaySeconds("reqB", 2));
-}
-
-TEST_F(ServeTest, BackoffJitterMatchesGoldenValues) {
-  // Pinned outputs of the splitmix64-based jitter at the default policy
-  // (base 0.01, cap 0.5, seed 1). Recorded soak schedules and the
-  // determinism contract both assume the recipe never drifts; a change
-  // to the hash or the float mapping must be a deliberate format bump,
-  // and this test is the tripwire.
-  RetryPolicy Policy;
-  EXPECT_DOUBLE_EQ(Policy.delaySeconds("soak7", 1), 0.0);
-  EXPECT_DOUBLE_EQ(Policy.delaySeconds("soak7", 2), 0.005450449061986504);
-  EXPECT_DOUBLE_EQ(Policy.delaySeconds("soak7", 3), 0.010900898720019456);
-  EXPECT_DOUBLE_EQ(Policy.delaySeconds("req-0", 2), 0.005553460261094041);
-  RetryPolicy Reseeded;
-  Reseeded.Seed = 2;
-  EXPECT_DOUBLE_EQ(Reseeded.delaySeconds("soak7", 2),
-                   0.0053370833576237078);
 }
 
 //===----------------------------------------------------------------------===//
@@ -370,30 +304,24 @@ TEST_F(ServeTest, BatchReachesTerminalStatesDeterministically) {
   Spike.FaultSpec = "mem-spike:req2";
   Spike.MemBudgetBytes = 1 << 20;
   Requests.push_back(Spike);
-  BatchRequest Transient = exampleRequest(3, "field");
-  Transient.FaultSpec = "transient-solve*2:req3";
-  Requests.push_back(Transient);
-  BatchRequest Shed = exampleRequest(4, "file");
-  Shed.FaultSpec = "queue-full:req4";
+  BatchRequest Shed = exampleRequest(3, "file");
+  Shed.FaultSpec = "queue-full:req3";
   Requests.push_back(Shed);
-  BatchRequest BadInput = exampleRequest(5, "nonesuch");
+  BatchRequest BadInput = exampleRequest(4, "nonesuch");
   Requests.push_back(BadInput);
-  BatchRequest BadSpec = exampleRequest(6, "file");
-  BadSpec.FaultSpec = "transient-solve*zero";
+  BatchRequest BadSpec = exampleRequest(5, "file");
+  BadSpec.FaultSpec = "wire-corrupt*zero";
   Requests.push_back(BadSpec);
 
   BatchOptions Opts;
   Opts.Workers = 3;
-  Opts.MaxAttempts = 3;
-  Opts.RetryBaseDelaySeconds = 0.0001;
-  Opts.RetryMaxDelaySeconds = 0.001;
   std::atomic<unsigned> SinkCalls{0};
   Opts.Sink = [&](const BatchResult &) { SinkCalls.fetch_add(1); };
   BatchRunner Runner(Opts);
   std::vector<BatchResult> Results = Runner.run(Requests);
 
-  ASSERT_EQ(Results.size(), 7u);
-  EXPECT_EQ(SinkCalls.load(), 7u); // Exactly one report per request.
+  ASSERT_EQ(Results.size(), 6u);
+  EXPECT_EQ(SinkCalls.load(), 6u); // Exactly one report per request.
   for (unsigned I = 0; I < Results.size(); ++I)
     EXPECT_EQ(Results[I].Index, I);
 
@@ -411,19 +339,15 @@ TEST_F(ServeTest, BatchReachesTerminalStatesDeterministically) {
   EXPECT_NE(Results[2].Reason.find("mem-budget"), std::string::npos);
   EXPECT_GE(Results[2].PeakBytes, 1LL << 40); // Spike in the watermark.
 
-  EXPECT_TRUE(Results[3].State == TerminalState::Ok ||
-              Results[3].State == TerminalState::Degraded);
-  EXPECT_EQ(Results[3].Attempts, 3u); // Two injected failures, then ok.
-  EXPECT_FALSE(Results[3].Output.empty());
+  EXPECT_EQ(Results[3].State, TerminalState::Shed);
+  EXPECT_EQ(Results[3].Attempts, 0u);
 
-  EXPECT_EQ(Results[4].State, TerminalState::Shed);
-  EXPECT_EQ(Results[4].Attempts, 0u);
+  EXPECT_EQ(Results[4].State, TerminalState::Failed);
+  EXPECT_NE(Results[4].Reason.find("unknown example"), std::string::npos);
 
   EXPECT_EQ(Results[5].State, TerminalState::Failed);
-  EXPECT_NE(Results[5].Reason.find("unknown example"), std::string::npos);
-
-  EXPECT_EQ(Results[6].State, TerminalState::Failed);
-  EXPECT_NE(Results[6].Reason.find("bad fire budget"), std::string::npos);
+  EXPECT_NE(Results[5].Reason.find("bad fire budget"), std::string::npos);
+  EXPECT_EQ(Results[5].Attempts, 0u);
 }
 
 TEST_F(ServeTest, BatchCacheProviderWarmsSecondBatch) {
@@ -504,21 +428,6 @@ TEST_F(ServeTest, SlowRequestThresholdDumpsSpanTree) {
   Quiet.SlowLog = [&](const std::string &Line) { Logs.push_back(Line); };
   BatchRunner(Quiet).run({exampleRequest(0, "file")});
   EXPECT_TRUE(Logs.empty());
-}
-
-TEST_F(ServeTest, TransientExhaustionFailsAfterMaxAttempts) {
-  BatchRequest R = exampleRequest(0, "file");
-  R.FaultSpec = "transient-solve*9:req0"; // More failures than attempts.
-  BatchOptions Opts;
-  Opts.Workers = 1;
-  Opts.MaxAttempts = 2;
-  Opts.RetryBaseDelaySeconds = 0.0001;
-  BatchRunner Runner(Opts);
-  std::vector<BatchResult> Results = Runner.run({R});
-  ASSERT_EQ(Results.size(), 1u);
-  EXPECT_EQ(Results[0].State, TerminalState::Failed);
-  EXPECT_EQ(Results[0].Attempts, 2u);
-  EXPECT_NE(Results[0].Reason.find("unavailable"), std::string::npos);
 }
 
 TEST_F(ServeTest, FaultedRequestDoesNotPerturbNeighbors) {
@@ -669,7 +578,68 @@ TEST_F(BatchDriverTest, BatchRejectsMalformedManifestAndUsage) {
   // Waves run in process: a worker endpoint list is not a thread count.
   EXPECT_EQ(runTool("batch m.txt --workers unix:/tmp/x"), 2);
   EXPECT_EQ(runTool("batch m.txt --shards 2"), 2);
+  // Every request runs once: there is no retry budget to set, and no
+  // retryable fault to inject.
+  EXPECT_EQ(runTool("batch m.txt --retries 2"), 2);
+  EXPECT_EQ(runTool("batch m.txt --fault transient-solve"), 2);
+  // Deadlines and thresholds are whole, finite numbers.
+  EXPECT_EQ(runTool("batch m.txt --deadline nan"), 2);
+  EXPECT_EQ(runTool("batch m.txt --deadline inf"), 2);
+  EXPECT_EQ(runTool("batch m.txt --deadline 2s"), 2);
+  EXPECT_EQ(runTool("batch m.txt --deadline="), 2);
+  EXPECT_EQ(runTool("batch m.txt --slow-request nan"), 2);
+  EXPECT_EQ(runTool("batch m.txt --jobs 4x"), 2);
   EXPECT_EQ(runTool("batch /no/such/manifest.txt"), 1);
+}
+
+TEST_F(BatchDriverTest, BatchFailsOnlyTheRequestWithAnUnknownFault) {
+  fs::path Manifest = writeFile("m.txt",
+                                "example:file fault=transient-solve:req0\n"
+                                "example:file\n");
+  std::string Output;
+  EXPECT_EQ(runTool("batch " + Manifest.string(), &Output), 1) << Output;
+  std::istringstream In(Output);
+  std::string Line;
+  unsigned Failed = 0, Ok = 0;
+  while (std::getline(In, Line)) {
+    if (Line.find("\"id\": \"req0\"") != std::string::npos) {
+      ++Failed;
+      EXPECT_NE(Line.find("\"state\": \"failed\""), std::string::npos)
+          << Line;
+      EXPECT_NE(Line.find("unknown fault 'transient-solve'"),
+                std::string::npos)
+          << Line;
+      EXPECT_NE(Line.find("\"attempts\": 0"), std::string::npos) << Line;
+    }
+    if (Line.find("\"id\": \"req1\"") != std::string::npos) {
+      ++Ok;
+      EXPECT_NE(Line.find("\"state\": \"ok\""), std::string::npos) << Line;
+      EXPECT_NE(Line.find("\"attempts\": 1"), std::string::npos) << Line;
+    }
+  }
+  EXPECT_EQ(Failed, 1u);
+  EXPECT_EQ(Ok, 1u);
+}
+
+TEST_F(BatchDriverTest, BatchRejectsNonFiniteManifestDeadlines) {
+  // A malformed manifest line is a diagnostic (exit 1), like any other
+  // bad key; a huge finite deadline saturates instead of overflowing
+  // the clock and leaves the request unlimited in practice.
+  for (const char *Deadline : {"nan", "inf", "2s"}) {
+    fs::path Bad = writeFile(
+        "bad.txt", std::string("example:file deadline=") + Deadline + "\n");
+    std::string Output;
+    EXPECT_EQ(runTool("batch " + Bad.string(), &Output), 1) << Deadline;
+    EXPECT_NE(Output.find("manifest line 1: bad deadline"),
+              std::string::npos)
+        << Output;
+  }
+  fs::path Huge = writeFile("huge.txt", "example:file deadline=1e300\n");
+  std::string Output;
+  EXPECT_EQ(runTool("batch " + Huge.string() + " --deadline 1e300", &Output),
+            0)
+      << Output;
+  EXPECT_NE(Output.find("\"state\": \"ok\""), std::string::npos) << Output;
 }
 
 TEST_F(BatchDriverTest, BatchFaultFlagUsesJoinedSpelling) {

@@ -17,8 +17,8 @@
 //  - the bit-parallel (popcount) exact enumeration against brute force,
 //    including the <6-variable and wide-factor fallbacks to the scalar
 //    loop, DNF limits, budgets, and unsatisfiable graphs;
-//  - the driver: --kernel-backend scalar and ANEK_FORCE_SCALAR=1 must
-//    not change a single output byte at any -j.
+//  - the driver: --kernel-backend scalar must not change a single output
+//    byte at any -j.
 //
 // Vector-backend cases skip (not fail) on hosts with no SIMD backend —
 // the scalar-vs-scalar half of each identity check still runs there.
@@ -464,15 +464,13 @@ TEST(ExactEnumeration, WeightedSolveMatchesJointWeight) {
 
 namespace {
 
-/// Runs the real `anek` binary (optionally under an environment prefix),
-/// captures combined stdout+stderr, and masks wall-clock substrings so
-/// byte comparison sees only semantic output.
-int runToolMasked(const std::string &EnvPrefix, const std::string &ArgLine,
-                  std::string &Output) {
+/// Runs the real `anek` binary, captures combined stdout+stderr, and
+/// masks wall-clock substrings so byte comparison sees only semantic
+/// output.
+int runToolMasked(const std::string &ArgLine, std::string &Output) {
   fs::path Capture = fs::temp_directory_path() /
                      ("anek_simd_" + std::to_string(::getpid()) + ".out");
-  std::string Cmd = EnvPrefix + (EnvPrefix.empty() ? "" : " ") +
-                    std::string(ANEK_TOOL_PATH) + " " + ArgLine + " > " +
+  std::string Cmd = std::string(ANEK_TOOL_PATH) + " " + ArgLine + " > " +
                     Capture.string() + " 2>&1";
   int RawStatus = std::system(Cmd.c_str());
   std::ifstream In(Capture);
@@ -493,15 +491,10 @@ TEST(DriverBackendIdentity, ForcedScalarMatchesDefaultBytes) {
   for (const char *Jobs : {"1", "4"}) {
     std::string Base = std::string("infer --example file --report -j ") +
                        Jobs;
-    std::string Default, EnvScalar, FlagScalar;
-    ASSERT_EQ(runToolMasked("", Base, Default), 0) << Default;
-    ASSERT_EQ(runToolMasked("ANEK_FORCE_SCALAR=1", Base, EnvScalar), 0)
-        << EnvScalar;
-    ASSERT_EQ(
-        runToolMasked("", Base + " --kernel-backend scalar", FlagScalar), 0)
+    std::string Default, FlagScalar;
+    ASSERT_EQ(runToolMasked(Base, Default), 0) << Default;
+    ASSERT_EQ(runToolMasked(Base + " --kernel-backend scalar", FlagScalar), 0)
         << FlagScalar;
-    EXPECT_EQ(Default, EnvScalar)
-        << "-j" << Jobs << ": ANEK_FORCE_SCALAR changed driver output";
     EXPECT_EQ(Default, FlagScalar)
         << "-j" << Jobs << ": --kernel-backend scalar changed driver output";
   }
@@ -509,8 +502,8 @@ TEST(DriverBackendIdentity, ForcedScalarMatchesDefaultBytes) {
 
 TEST(DriverBackendIdentity, BadBackendFlagFailsCleanly) {
   std::string Output;
-  int Exit = runToolMasked(
-      "", "infer --example file --kernel-backend sse9", Output);
+  int Exit =
+      runToolMasked("infer --example file --kernel-backend sse9", Output);
   EXPECT_NE(Exit, 0);
   EXPECT_NE(Output.find("sse9"), std::string::npos) << Output;
 }

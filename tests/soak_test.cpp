@@ -74,7 +74,7 @@ TEST_F(SoakTest, SoakHoldsAllInvariantsUnderRandomizedChaos) {
   for (unsigned Count : Report.StateCounts)
     Total += Count;
   EXPECT_EQ(Total, 120u); // Every request reached exactly one terminal.
-  // With a 0.5 fault rate over five chaos modes, each contracted outcome
+  // With a 0.5 fault rate over four chaos modes, each contracted outcome
   // should appear; a soak where no fault ever fired tests nothing.
   EXPECT_GT(Report.StateCounts[static_cast<unsigned>(TerminalState::Failed)],
             0u);

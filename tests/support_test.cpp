@@ -71,6 +71,36 @@ TEST(StringUtilsTest, Join) {
   EXPECT_EQ(join({"x"}, ","), "x");
 }
 
+TEST(StringUtilsTest, ParseUnsignedTakesWholeDecimalTokens) {
+  unsigned Out = 7;
+  EXPECT_TRUE(parseUnsigned("0", Out));
+  EXPECT_EQ(Out, 0u);
+  EXPECT_TRUE(parseUnsigned("4294967295", Out));
+  EXPECT_EQ(Out, 4294967295u);
+  for (const char *Bad : {"", "4x", "-1", "+4", " 4", "4 ", "4294967296",
+                          "99999999999999999999", "0x10"}) {
+    Out = 7;
+    EXPECT_FALSE(parseUnsigned(Bad, Out)) << Bad;
+    EXPECT_EQ(Out, 7u) << Bad; // Untouched on failure.
+  }
+}
+
+TEST(StringUtilsTest, ParseFiniteRejectsPrefixesAndNonFiniteValues) {
+  double Out = -5.0;
+  EXPECT_TRUE(parseFinite("2.5", Out));
+  EXPECT_DOUBLE_EQ(Out, 2.5);
+  EXPECT_TRUE(parseFinite("-1", Out));
+  EXPECT_DOUBLE_EQ(Out, -1.0);
+  EXPECT_TRUE(parseFinite("1e300", Out));
+  EXPECT_DOUBLE_EQ(Out, 1e300);
+  for (const char *Bad : {"", "2s", " 2", "2 ", "nan", "NaN", "inf",
+                          "-inf", "infinity", "1e400"}) {
+    Out = -5.0;
+    EXPECT_FALSE(parseFinite(Bad, Out)) << Bad;
+    EXPECT_DOUBLE_EQ(Out, -5.0) << Bad;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Rational (with property-style parameterized sweeps)
 //===----------------------------------------------------------------------===//

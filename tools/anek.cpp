@@ -15,9 +15,9 @@
 // `anek batch` reads one request per manifest line ("-" = stdin; see
 // src/serve/Manifest.h for the line grammar), drives them through the
 // resource-governed serving layer (bounded queue, per-request deadlines
-// and memory budgets, retry with backoff), and emits one JSONL line per
-// request in completion order. SIGINT/SIGTERM drain gracefully: admission
-// stops, in-flight requests finish, every request still gets its line.
+// and memory budgets), and emits one JSONL line per request in completion
+// order. SIGINT/SIGTERM drain gracefully: admission stops, in-flight
+// requests finish, every request still gets its line.
 //
 // --jobs/-j N runs inference on N worker threads (default: one per
 // hardware thread; 1 = fully sequential). Output is byte-identical for
@@ -63,6 +63,7 @@
 #include "support/FaultInject.h"
 #include "support/Format.h"
 #include "support/Metrics.h"
+#include "support/StringUtils.h"
 #include "support/Trace.h"
 
 #include <csignal>
@@ -95,7 +96,7 @@ void usage() {
              "[--kernel-backend scalar|avx2|neon|auto] [--trace FILE] "
              "[--metrics FILE] [--trace-level off|phase|method|solver]\n"
              "       anek batch <manifest.txt | -> [--workers N] "
-             "[--queue-cap N] [--retries N] [--deadline SECS] "
+             "[--queue-cap N] [--deadline SECS] "
              "[--mem-budget BYTES[k|m|g]] [--jobs N | -j N] "
              "[--cache DIR] [--seed N] [--out FILE] [--shed-when-full] "
              "[--kernel-backend NAME] [--fault SPEC] [--slow-request SECS] "
@@ -183,13 +184,10 @@ int runReport(const std::vector<std::string> &Args) {
     } else if (Args[I] == "--json") {
       Json = true;
     } else if (flagValue(Args, I, "--top", Value)) {
-      char *End = nullptr;
-      unsigned long V = std::strtoul(Value.c_str(), &End, 10);
-      if (!End || *End != '\0' || Value.empty() || V == 0) {
+      if (!parseUnsigned(Value, TopK) || TopK == 0) {
         std::fprintf(stderr, "anek: bad top-k '%s'\n", Value.c_str());
         return ExitUsage;
       }
-      TopK = static_cast<unsigned>(V);
     } else {
       std::fprintf(stderr, "anek: unknown report argument '%s'\n",
                    Args[I].c_str());
@@ -292,15 +290,6 @@ int runBatch(const std::vector<std::string> &Args) {
   TelemetryFlusher Telemetry;
   bool HaveTraceLevel = false;
 
-  auto ParseUnsigned = [](const std::string &Value, unsigned &Out) {
-    char *End = nullptr;
-    unsigned long V = std::strtoul(Value.c_str(), &End, 10);
-    if (!End || *End != '\0' || Value.empty())
-      return false;
-    Out = static_cast<unsigned>(V);
-    return true;
-  };
-
   for (size_t I = 1; I < Args.size(); ++I) {
     std::string Value;
     unsigned Parsed = 0;
@@ -317,9 +306,7 @@ int runBatch(const std::vector<std::string> &Args) {
       telemetry::setTraceLevel(Level);
       HaveTraceLevel = true;
     } else if (flagValue(Args, I, "--slow-request", Value)) {
-      char *End = nullptr;
-      Opts.SlowRequestSeconds = std::strtod(Value.c_str(), &End);
-      if (!End || *End != '\0' || Value.empty() ||
+      if (!parseFinite(Value, Opts.SlowRequestSeconds) ||
           Opts.SlowRequestSeconds < 0.0) {
         std::fprintf(stderr, "anek: bad slow-request threshold '%s'\n",
                      Value.c_str());
@@ -328,25 +315,17 @@ int runBatch(const std::vector<std::string> &Args) {
     } else if (flagValue(Args, I, "--out", Value)) {
       OutPath = expandPathTemplate(Value);
     } else if (flagValue(Args, I, "--workers", Value)) {
-      if (!ParseUnsigned(Value, Parsed) || Parsed == 0) {
+      if (!parseUnsigned(Value, Parsed) || Parsed == 0) {
         std::fprintf(stderr, "anek: bad worker count '%s'\n", Value.c_str());
         return ExitUsage;
       }
       Opts.Workers = Parsed;
     } else if (flagValue(Args, I, "--queue-cap", Value)) {
-      if (!ParseUnsigned(Value, Parsed) || Parsed == 0) {
+      if (!parseUnsigned(Value, Parsed) || Parsed == 0) {
         std::fprintf(stderr, "anek: bad queue cap '%s'\n", Value.c_str());
         return ExitUsage;
       }
       Opts.QueueCap = Parsed;
-    } else if (flagValue(Args, I, "--retries", Value)) {
-      if (!ParseUnsigned(Value, Parsed) || Parsed == 0) {
-        std::fprintf(stderr, "anek: bad retry count '%s' (want total "
-                             "attempts >= 1)\n",
-                     Value.c_str());
-        return ExitUsage;
-      }
-      Opts.MaxAttempts = Parsed;
     } else if (flagValue(Args, I, "--seed", Value)) {
       char *End = nullptr;
       Opts.Seed = std::strtoull(Value.c_str(), &End, 10);
@@ -355,9 +334,8 @@ int runBatch(const std::vector<std::string> &Args) {
         return ExitUsage;
       }
     } else if (flagValue(Args, I, "--deadline", Value)) {
-      char *End = nullptr;
-      Opts.DefaultDeadlineSeconds = std::strtod(Value.c_str(), &End);
-      if (!End || *End != '\0' || Opts.DefaultDeadlineSeconds < 0.0) {
+      if (!parseFinite(Value, Opts.DefaultDeadlineSeconds) ||
+          Opts.DefaultDeadlineSeconds < 0.0) {
         std::fprintf(stderr, "anek: bad deadline '%s'\n", Value.c_str());
         return ExitUsage;
       }
@@ -372,7 +350,7 @@ int runBatch(const std::vector<std::string> &Args) {
       Opts.DefaultMemBudgetBytes = (*R)[0].MemBudgetBytes;
     } else if (flagValue(Args, I, "--jobs", Value) ||
                flagValue(Args, I, "-j", Value)) {
-      if (!ParseUnsigned(Value, Parsed) || Parsed == 0) {
+      if (!parseUnsigned(Value, Parsed) || Parsed == 0) {
         std::fprintf(stderr, "anek: bad thread count '%s'\n", Value.c_str());
         return ExitUsage;
       }
@@ -522,8 +500,7 @@ int run(int Argc, char **Argv) {
   }
   // --kernel-backend selects the process-wide solver SIMD dispatch
   // (scalar|avx2|neon|auto), so it applies to every command; handle and
-  // strip it before command parsing. ANEK_FORCE_SCALAR=1 in the
-  // environment has the same effect as "scalar".
+  // strip it before command parsing.
   for (size_t I = 0; I < Args.size();) {
     std::string Value;
     size_t Start = I;
@@ -604,14 +581,11 @@ int run(int Argc, char **Argv) {
                (Args[I].compare(0, 2, "-j") == 0 &&
                 !(Value = Args[I].substr(2)).empty())) {
       // "--jobs N", "--jobs=N", "-j N" or the joined "-jN".
-      char *End = nullptr;
-      unsigned long Count = std::strtoul(Value.c_str(), &End, 10);
-      if (!End || *End != '\0' || Count == 0) {
+      if (!parseUnsigned(Value, Jobs) || Jobs == 0) {
         std::fprintf(stderr, "anek: bad thread count '%s' (want N >= 1)\n",
                      Value.c_str());
         return ExitUsage;
       }
-      Jobs = static_cast<unsigned>(Count);
     } else if (flagValue(Args, I, "--cache", Value)) {
       if (Value.empty()) {
         std::fprintf(stderr, "anek: empty cache directory\n");
